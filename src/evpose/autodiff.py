@@ -2,9 +2,11 @@
 
 The op catalogue is the minimum needed to express the pose-regression
 network and its loss: elementwise arithmetic, matmul, conv2d, maxpool2d,
-sigmoid/tanh/relu, reshape/concat/slice, sum/mean, an L2 norm and seeded
-inverted dropout. Gradients are accumulated within a single ``backward``
-call; tensors are treated as immutable once they enter a graph.
+sigmoid/tanh/relu, reshape/concat/slice, sum/mean, an L2 norm, seeded
+inverted dropout and ``lstm_sequence``, a whole LSTM layer run over a
+sequence as one graph node with a hand-written backprop-through-time vjp.
+Gradients are accumulated within a single ``backward`` call; tensors are
+treated as immutable once they enter a graph.
 """
 
 from __future__ import annotations
@@ -152,6 +154,86 @@ def linear_pair(x: Tensor, w_x: Tensor, h: Tensor, w_h: Tensor, b: Tensor) -> Te
     return _node(out, (x, w_x, h, w_h, b), vjp)
 
 
+def lstm_forward(x: Array, w_x: Array, w_h: Array, b: Array) -> tuple[Array, Array, Array]:
+    """Run one LSTM layer over the rows of ``x`` (S, in) from a zero state.
+
+    ``w_x`` (in, 4H), ``w_h`` (H, 4H) and ``b`` (1, 4H) hold the gate
+    columns in i, f, o, g order. Step t computes
+    a = x_t w_x + b + h_{t-1} w_h, i/f/o = sigmoid(a), g = tanh(a),
+    c_t = f * c_{t-1} + i * g, h_t = o * tanh(c_t).
+    Returns the hidden states (S, H), the cell states (S, H) and the
+    activated gates (S, 4H).
+    """
+    if (
+        x.ndim != 2
+        or x.shape[0] == 0
+        or w_h.ndim != 2
+        or w_h.shape[1] != 4 * w_h.shape[0]
+        or w_x.shape != (x.shape[1], w_h.shape[1])
+        or b.shape != (1, w_h.shape[1])
+    ):
+        raise ShapeError(
+            f"lstm_sequence: need x (S>0, in), w_x (in, 4H), w_h (H, 4H), b (1, 4H), "
+            f"got {x.shape}, {w_x.shape}, {w_h.shape}, {b.shape}"
+        )
+    s, hidden = x.shape[0], w_h.shape[0]
+    acts = x @ w_x  # all S input projections at once; activated in place below
+    acts += b
+    cs = np.empty((s, hidden))
+    hs = np.empty((s, hidden))
+    c = np.zeros(hidden)
+    for t in range(s):
+        a = acts[t]
+        if t:
+            a += hs[t - 1] @ w_h
+        a[: 3 * hidden] = _logistic(a[: 3 * hidden])
+        a[3 * hidden :] = np.tanh(a[3 * hidden :])
+        i, f, o, g = a[:hidden], a[hidden : 2 * hidden], a[2 * hidden : 3 * hidden], a[3 * hidden :]
+        c = f * c + i * g
+        cs[t] = c
+        hs[t] = o * np.tanh(c)
+    return hs, cs, acts
+
+
+def lstm_sequence(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor) -> Tensor:
+    """One LSTM layer over the rows of ``x`` as a single node; returns all
+    hidden states (S, H). See ``lstm_forward`` for the layout and the cell.
+    """
+    xd, wxd, whd = x.data, w_x.data, w_h.data
+    hs, cs, acts = lstm_forward(xd, wxd, whd, b.data)
+    s, hidden = hs.shape
+    need_x, need_wx, need_wh = x.requires_grad, w_x.requires_grad, w_h.requires_grad
+
+    def vjp(g: Array) -> tuple:
+        # d(activation)/d(pre-activation) for every step at once
+        slope = acts * (1.0 - acts)
+        slope[:, 3 * hidden :] = 1.0 - acts[:, 3 * hidden :] ** 2
+        tanh_c = np.tanh(cs)
+        dz = np.empty_like(acts)  # gradient w.r.t. the gate pre-activations
+        dh_next = np.zeros(hidden)
+        dc_next = np.zeros(hidden)
+        for t in range(s - 1, -1, -1):
+            i, f, o, gg = (acts[t, k * hidden : (k + 1) * hidden] for k in range(4))
+            dh = g[t] + dh_next
+            dc = dc_next + dh * o * (1.0 - tanh_c[t] * tanh_c[t])
+            dz[t, :hidden] = dc * gg
+            dz[t, hidden : 2 * hidden] = dc * cs[t - 1] if t else 0.0
+            dz[t, 2 * hidden : 3 * hidden] = dh * tanh_c[t]
+            dz[t, 3 * hidden :] = dc * i
+            dz[t] *= slope[t]
+            dc_next = dc * f
+            if t:
+                dh_next = dz[t] @ whd.T
+        return (
+            dz @ wxd.T if need_x else None,
+            xd.T @ dz if need_wx else None,
+            hs[:-1].T @ dz[1:] if need_wh else None,
+            dz.sum(axis=0, keepdims=True),
+        )
+
+    return _node(hs, (x, w_x, w_h, b), vjp)
+
+
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """2-D cross-correlation over a (C_in, H, W) input with zero padding.
 
@@ -237,8 +319,12 @@ def maxpool2d(x: Tensor, window: int) -> Tensor:
     return _node(out, (x,), vjp)
 
 
+def _logistic(v: Array) -> Array:
+    return 0.5 * (np.tanh(0.5 * v) + 1.0)  # overflow-free
+
+
 def sigmoid(x: Tensor) -> Tensor:
-    y = 0.5 * (np.tanh(0.5 * x.data) + 1.0)  # overflow-free logistic
+    y = _logistic(x.data)
     return _node(y, (x,), lambda g: (g * y * (1.0 - y),))
 
 

@@ -141,8 +141,10 @@ def parse_events(stream: str | Iterable[str], sensor_w: int, sensor_h: int) -> l
 def parse_poses(stream: str | Iterable[str]) -> list[PoseLabel]:
     """Parse a groundtruth pose stream into canonicalized PoseLabels.
 
-    Raises OrderingError if timestamps are not strictly increasing and
-    InvalidRotationError for zero-norm quaternions.
+    Raises ParseError (with line number) for malformed lines and non-finite
+    timestamps or positions, OrderingError if timestamps are not strictly
+    increasing and InvalidRotationError for zero-norm or non-finite
+    quaternions.
     """
     poses: list[PoseLabel] = []
     prev_t = None
@@ -163,6 +165,8 @@ def parse_poses(stream: str | Iterable[str]) -> list[PoseLabel]:
         if prev_t is not None and t <= prev_t:
             raise OrderingError(f"line {line_no}: timestamp {t!r} not after {prev_t!r}")
         prev_t = t
+        if not all(math.isfinite(v) for v in vals[1:4]):
+            raise ParseError(f"non-finite position in {line!r}", line_no)
         try:
             q = canonicalize_quaternion(vals[4:8])
         except InvalidRotationError as exc:

@@ -2,9 +2,11 @@
 stacked LSTM -> fully connected heads, plus the position+quaternion loss.
 
 The CNN ends in a fully connected layer of width F = S*S; that vector is
-read row-major as S steps of S-dimensional LSTM inputs. Each LSTM layer
-consumes the full hidden sequence of the previous layer, and the final
-hidden state of the top layer feeds the head. The loss is the sum of the
+read row-major as S steps of S-dimensional LSTM inputs. Each LSTM layer is
+one ``lstm_sequence`` node with fused gate weights ``w_x`` (in, 4H), ``w_h``
+(H, 4H) and ``b`` (1, 4H), gate columns in i, f, o, g order. It consumes
+the full hidden sequence of the previous layer, and the final hidden state
+of the top layer feeds the head. The loss is the sum of the
 Euclidean position error and the Euclidean distance between the raw
 predicted quaternion and the unit groundtruth quaternion; the prediction
 quaternion is normalized only at inference time.
@@ -133,39 +135,12 @@ class ModelParams:
 
 
 @dataclass(eq=False)
-class LstmLayerParams:
-    """Per-gate weights of one LSTM layer (i, f, o, g gate order)."""
-
-    w_xi: Tensor
-    w_hi: Tensor
-    b_i: Tensor
-    w_xf: Tensor
-    w_hf: Tensor
-    b_f: Tensor
-    w_xo: Tensor
-    w_ho: Tensor
-    b_o: Tensor
-    w_xg: Tensor
-    w_hg: Tensor
-    b_g: Tensor
-
-
-@dataclass(eq=False)
-class LstmState:
-    h: Tensor
-    c: Tensor
-
-
-@dataclass(eq=False)
 class PosePrediction:
     """Predicted position, raw quaternion head output, and its unit version."""
 
     p_hat: np.ndarray
     q_hat_raw: np.ndarray
     q_hat: np.ndarray
-
-
-_GATES = ("i", "f", "o", "g")
 
 
 def param_manifest(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
@@ -179,13 +154,12 @@ def param_manifest(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
     c, h, w = config.conv_output_shape()
     manifest.append(("feat.w", (c * h * w, config.feature_dim)))
     manifest.append(("feat.b", (1, config.feature_dim)))
-    s = config.seq_len
+    hidden = config.lstm_hidden
     for layer in range(config.lstm_layers):
-        in_dim = s if layer == 0 else config.lstm_hidden
-        for gate in _GATES:
-            manifest.append((f"lstm{layer}.w_x{gate}", (in_dim, config.lstm_hidden)))
-            manifest.append((f"lstm{layer}.w_h{gate}", (config.lstm_hidden, config.lstm_hidden)))
-            manifest.append((f"lstm{layer}.b_{gate}", (1, config.lstm_hidden)))
+        in_dim = config.seq_len if layer == 0 else hidden
+        manifest.append((f"lstm{layer}.w_x", (in_dim, 4 * hidden)))
+        manifest.append((f"lstm{layer}.w_h", (hidden, 4 * hidden)))
+        manifest.append((f"lstm{layer}.b", (1, 4 * hidden)))
     manifest.append(("head.fc1.w", (config.lstm_hidden, config.fc_hidden)))
     manifest.append(("head.fc1.b", (1, config.fc_hidden)))
     manifest.append(("head.out.w", (config.fc_hidden, 7)))
@@ -197,6 +171,8 @@ def _fans(name: str, shape: tuple[int, ...]) -> tuple[int, int]:
     if name.startswith("conv"):
         cout, cin, kh, kw = shape
         return cin * kh * kw, cout * kh * kw
+    if name.startswith("lstm"):
+        return shape[0], shape[1] // 4  # the Glorot bound of one (in, H) gate block
     return shape[0], shape[1]
 
 
@@ -205,7 +181,7 @@ def init_params(config: ModelConfig, seed: int = 0) -> ModelParams:
     rng = np.random.default_rng(seed)
     tensors: dict[str, Tensor] = {}
     for name, shape in param_manifest(config):
-        if name.endswith(".b") or ".b_" in name:
+        if name.endswith(".b"):
             tensors[name] = ad.parameter(np.zeros(shape))
         else:
             a = math.sqrt(6.0 / sum(_fans(name, shape)))
@@ -243,79 +219,34 @@ def cnn_forward(
     return ad.dropout(t, cfg.dropout_rate, training=training, seed=rng_seed)
 
 
-def reshape_features(v: Tensor) -> list[Tensor]:
-    """Row-major view of a length-S*S vector as S inputs of width S."""
+def reshape_features(v: Tensor) -> Tensor:
+    """Row-major view of a length-S*S vector as S inputs of width S: (S, S)."""
     n = v.data.size
     s = math.isqrt(n)
     if s * s != n:
         raise ShapeError(f"feature length {n} is not a perfect square")
-    grid = ad.reshape(v, (s, s))
-    return [ad.slice_along(grid, axis=0, start=j, stop=j + 1) for j in range(s)]
+    return ad.reshape(v, (s, s))
 
 
-def lstm_layer(params: ModelParams, layer: int) -> LstmLayerParams:
-    """View of one layer's gate tensors."""
-    t = params.tensors
-    kwargs = {}
-    for gate in _GATES:
-        kwargs[f"w_x{gate}"] = t[f"lstm{layer}.w_x{gate}"]
-        kwargs[f"w_h{gate}"] = t[f"lstm{layer}.w_h{gate}"]
-        kwargs[f"b_{gate}"] = t[f"lstm{layer}.b_{gate}"]
-    return LstmLayerParams(**kwargs)
+def stacked_lstm_forward(seq: Tensor, layers: Sequence[Sequence[Tensor]]) -> Tensor:
+    """Run the layer stack over the rows of ``seq``; return the top layer's
+    final h as (1, H).
 
-
-def zero_state(hidden: int) -> LstmState:
-    return LstmState(ad.tensor(np.zeros((1, hidden))), ad.tensor(np.zeros((1, hidden))))
-
-
-def _gate(x: Tensor, h: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor) -> Tensor:
-    return ad.linear_pair(x, w_x, h, w_h, b)
-
-
-def lstm_step(x: Tensor, state: LstmState, layer: LstmLayerParams) -> LstmState:
-    """One LSTM cell update.
-
-    i = sigmoid(x W_xi + h W_hi + b_i), f/o likewise, g = tanh(...),
-    c' = f * c + i * g, h' = o * tanh(c').
+    ``layers`` holds one (w_x, w_h, b) triple per layer. Layer 0 consumes
+    ``seq``; every later layer consumes the full hidden sequence of the
+    layer below. States start at zero.
     """
-    i = ad.sigmoid(_gate(x, state.h, layer.w_xi, layer.w_hi, layer.b_i))
-    f = ad.sigmoid(_gate(x, state.h, layer.w_xf, layer.w_hf, layer.b_f))
-    o = ad.sigmoid(_gate(x, state.h, layer.w_xo, layer.w_ho, layer.b_o))
-    g = ad.tanh(_gate(x, state.h, layer.w_xg, layer.w_hg, layer.b_g))
-    c = ad.add(ad.mul(f, state.c), ad.mul(i, g))
-    h = ad.mul(o, ad.tanh(c))
-    return LstmState(h, c)
-
-
-def stacked_lstm_forward(seq: Sequence[Tensor], layers: Sequence[LstmLayerParams]) -> Tensor:
-    """Run the layer stack over the sequence; return the top layer's final h.
-
-    Layer 0 consumes ``seq``; every later layer consumes the full hidden
-    sequence of the layer below. States start at zero.
-    """
-    if len(seq) == 0:
-        raise ShapeError("stacked_lstm_forward: empty input sequence")
     if len(layers) == 0:
         raise ShapeError("stacked_lstm_forward: need at least one layer")
-    hidden = layers[0].w_hi.data.shape[0]
-    outputs = list(seq)
-    state = None
-    for layer in layers:
-        state = zero_state(hidden)
-        hs = []
-        for x in outputs:
-            state = lstm_step(x, state, layer)
-            hs.append(state.h)
-        outputs = hs
-    return state.h
+    hs = seq
+    for w_x, w_h, b in layers:
+        hs = ad.lstm_sequence(hs, w_x, w_h, b)
+    s = hs.data.shape[0]
+    return ad.slice_along(hs, axis=0, start=s - 1, stop=s)
 
 
-def pose_head(h: Tensor, params: ModelParams, training: bool = False) -> Tensor:
-    """FC(relu) then linear FC to the 7-vector (p1, p2, p3, qx, qy, qz, qw).
-
-    ``training`` is accepted for interface symmetry; the head has no
-    stochastic layers.
-    """
+def pose_head(h: Tensor, params: ModelParams) -> Tensor:
+    """FC(relu) then linear FC to the 7-vector (p1, p2, p3, qx, qy, qz, qw)."""
     t = ad.relu(ad.add(ad.matmul(h, params.tensors["head.fc1.w"]), params.tensors["head.fc1.b"]))
     return ad.add(ad.matmul(t, params.tensors["head.out.w"]), params.tensors["head.out.b"])
 
@@ -329,9 +260,13 @@ def forward(
     """Full network: CNN features -> reshape -> stacked LSTM -> head."""
     features = cnn_forward(image, params, training=training, rng_seed=rng_seed)
     seq = reshape_features(features)
-    layers = [lstm_layer(params, i) for i in range(params.config.lstm_layers)]
+    t = params.tensors
+    layers = [
+        (t[f"lstm{i}.w_x"], t[f"lstm{i}.w_h"], t[f"lstm{i}.b"])
+        for i in range(params.config.lstm_layers)
+    ]
     h = stacked_lstm_forward(seq, layers)
-    return pose_head(h, params, training=training)
+    return pose_head(h, params)
 
 
 def pose_loss(pred: Tensor, label: PoseLabel) -> Tensor:

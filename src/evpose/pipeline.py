@@ -4,16 +4,21 @@ Training is per-image SGD (gradients optionally accumulated over a small
 batch), fully deterministic given the seed: epoch shuffles and per-sample
 dropout masks all derive from one seeded generator.
 
-Checkpoints are a one-line JSON header (format version, model config,
-parameter manifest, optimizer hyperparameters, epoch, loss history)
-followed by the raw little-endian float64 parameter arrays in manifest
-order, then the velocity arrays in the same order.
+Checkpoints (format version 2) are a one-line JSON header (format
+version, model config, parameter manifest, optimizer hyperparameters,
+epoch, loss history) followed by the raw little-endian float64 parameter
+arrays in manifest order, then the velocity arrays in the same order. The
+manifest stores each LSTM layer as fused ``w_x``, ``w_h`` and ``b`` gate
+tensors (version 1 stored twelve per-gate tensors and is not readable).
+Files are written to a temporary name and renamed into place, so a failed
+or interrupted save leaves any previous checkpoint untouched.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -27,7 +32,7 @@ from .events import EventWindow
 from .model import ModelConfig, ModelParams, param_manifest
 
 _CHECKPOINT_FORMAT = "evpose-checkpoint"
-_CHECKPOINT_VERSION = 1
+_CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -162,19 +167,58 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         "epoch": ckpt.epoch,
         "loss_history": ckpt.loss_history,
     }
-    with open(path, "wb") as f:
-        f.write(json.dumps(header).encode("utf-8") + b"\n")
-        for name, shape in manifest:
-            arr = ckpt.params.tensors[name].data
-            if arr.shape != shape:
-                raise CheckpointError(f"parameter {name} has shape {arr.shape}, manifest says {shape}")
-            f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-        for v in ckpt.opt_state.velocity:
-            f.write(np.ascontiguousarray(v, dtype="<f8").tobytes())
+    path = os.fspath(path)
+    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(json.dumps(header).encode("utf-8") + b"\n")
+            for name, shape in manifest:
+                arr = ckpt.params.tensors[name].data
+                if arr.shape != shape:
+                    raise CheckpointError(f"parameter {name} has shape {arr.shape}, manifest says {shape}")
+                f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+            for v in ckpt.opt_state.velocity:
+                f.write(np.ascontiguousarray(v, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # the save failed before the rename
+            os.remove(tmp)
+
+
+def _typed(header: dict, key: str, kind: type):
+    value = header[key]
+    if not isinstance(value, kind):
+        raise TypeError(f"{key!r} must be {kind.__name__}, got {value!r}")
+    return value
+
+
+def _parse_header(header) -> tuple[ModelConfig, dict, int, list[float]]:
+    """Validate a checkpoint header; returns (config, optimizer, epoch, loss history)."""
+    if not isinstance(header, dict) or header.get("format") != _CHECKPOINT_FORMAT:
+        raise CheckpointError("not an evpose checkpoint")
+    if header.get("version") != _CHECKPOINT_VERSION:
+        raise CheckpointError(f"unsupported checkpoint version {header.get('version')!r}")
+    try:
+        config = ModelConfig.from_dict(_typed(header, "model", dict))
+        stored = [(e["name"], tuple(e["shape"])) for e in _typed(header, "params", list)]
+        opt = _typed(header, "optimizer", dict)
+        optimizer = {k: float(opt[k]) for k in ("lr", "momentum", "weight_decay")}
+        epoch = _typed(header, "epoch", int)
+        loss_history = [float(v) for v in _typed(header, "loss_history", list)]
+        manifest_ok = stored == param_manifest(config)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise CheckpointError(f"malformed checkpoint header: {type(exc).__name__}: {exc}") from None
+    if not manifest_ok:
+        raise CheckpointError("checkpoint manifest does not match its model config")
+    return config, optimizer, epoch, loss_history
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Load a checkpoint; reloaded parameters reproduce predictions bit-exactly."""
+    """Load a checkpoint; reloaded parameters reproduce predictions bit-exactly.
+
+    Raises CheckpointError for a truncated, malformed or version-mismatched
+    file.
+    """
     with open(path, "rb") as f:
         header_line = f.readline()
         if not header_line.endswith(b"\n"):
@@ -183,17 +227,8 @@ def load_checkpoint(path) -> Checkpoint:
             header = json.loads(header_line.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CheckpointError(f"unreadable checkpoint header: {exc}") from None
-        if header.get("format") != _CHECKPOINT_FORMAT:
-            raise CheckpointError("not an evpose checkpoint")
-        if header.get("version") != _CHECKPOINT_VERSION:
-            raise CheckpointError(
-                f"unsupported checkpoint version {header.get('version')!r}"
-            )
-        config = ModelConfig.from_dict(header["model"])
+        config, optimizer, epoch, loss_history = _parse_header(header)
         manifest = param_manifest(config)
-        stored = [(e["name"], tuple(e["shape"])) for e in header["params"]]
-        if stored != manifest:
-            raise CheckpointError("checkpoint manifest does not match its model config")
 
         def read_array(shape):
             count = math.prod(shape)
@@ -206,15 +241,9 @@ def load_checkpoint(path) -> Checkpoint:
         velocity = [read_array(shape) for _, shape in manifest]
         if f.read(1):
             raise CheckpointError("trailing data after checkpoint arrays")
-    opt = ad.OptState(
-        lr=float(header["optimizer"]["lr"]),
-        momentum=float(header["optimizer"]["momentum"]),
-        weight_decay=float(header["optimizer"]["weight_decay"]),
-        velocity=velocity,
-    )
     return Checkpoint(
         params=ModelParams(config, tensors),
-        opt_state=opt,
-        epoch=int(header["epoch"]),
-        loss_history=[float(v) for v in header["loss_history"]],
+        opt_state=ad.OptState(velocity=velocity, **optimizer),
+        epoch=epoch,
+        loss_history=loss_history,
     )

@@ -11,30 +11,46 @@ import numpy as np
 
 
 def lstm_step_scalar(x, h, c, layer):
-    """LSTM cell with explicit index loops, no matrix library."""
+    """LSTM cell with explicit index loops, no matrix library.
+
+    ``layer`` is the fused (w_x (in, 4H), w_h (H, 4H), b (1, 4H)) triple of
+    arrays; gate k reads columns k*H .. k*H + H-1, in i, f, o, g order.
+    """
+    w_x, w_h, b = (np.asarray(a).tolist() for a in layer)
+    n = len(h)
 
     def sig(v):
         return 1.0 / (1.0 + math.exp(-v))
 
-    def gate(wx, wh, b, act):
+    def gate(k, act):
         out = []
-        for j in range(len(h)):
-            acc = b[0][j]
-            for k in range(len(x)):
-                acc += x[k] * wx[k][j]
-            for k in range(len(h)):
-                acc += h[k] * wh[k][j]
+        for j in range(n):
+            col = k * n + j
+            acc = b[0][col]
+            for r in range(len(x)):
+                acc += x[r] * w_x[r][col]
+            for r in range(n):
+                acc += h[r] * w_h[r][col]
             out.append(act(acc))
         return out
 
-    tl = lambda t: t.data.tolist()
-    i = gate(tl(layer.w_xi), tl(layer.w_hi), tl(layer.b_i), sig)
-    f = gate(tl(layer.w_xf), tl(layer.w_hf), tl(layer.b_f), sig)
-    o = gate(tl(layer.w_xo), tl(layer.w_ho), tl(layer.b_o), sig)
-    g = gate(tl(layer.w_xg), tl(layer.w_hg), tl(layer.b_g), math.tanh)
-    c_new = [f[j] * c[j] + i[j] * g[j] for j in range(len(h))]
-    h_new = [o[j] * math.tanh(c_new[j]) for j in range(len(h))]
+    i, f, o, g = gate(0, sig), gate(1, sig), gate(2, sig), gate(3, math.tanh)
+    c_new = [f[j] * c[j] + i[j] * g[j] for j in range(n)]
+    h_new = [o[j] * math.tanh(c_new[j]) for j in range(n)]
     return h_new, c_new
+
+
+def lstm_sequence_scalar(xs, layer):
+    """Iterate ``lstm_step_scalar`` over the rows of ``xs`` from a zero
+    state; returns the lists of every h and every c."""
+    n = len(np.asarray(layer[1]))
+    h, c = [0.0] * n, [0.0] * n
+    hs, cs = [], []
+    for x in np.asarray(xs).tolist():
+        h, c = lstm_step_scalar(x, h, c, layer)
+        hs.append(h)
+        cs.append(c)
+    return hs, cs
 
 
 def latest_event_image(events, h, w):

@@ -27,7 +27,7 @@ from evpose.events import (
     split_random,
     window_events,
 )
-from oracles import latest_event_image, lstm_step_scalar, rotation_angle_deg
+from oracles import latest_event_image, lstm_sequence_scalar, rotation_angle_deg
 
 # Overfit-run protocol (criterion 5): the pinned synthetic dataset, the
 # desk-scale architecture and 200 epochs; the training subset (40% random
@@ -93,28 +93,25 @@ def test_criterion_1_gradient_correctness():
 def test_criterion_2_lstm_matches_scalar_oracle():
     rng = np.random.default_rng(1234)
     worst = 0.0
+    steps = 6
     for _ in range(100):
-        kwargs = {}
-        for gate in "ifog":
-            kwargs[f"w_x{gate}"] = ad.tensor(rng.standard_normal((8, 8)) * 0.7)
-            kwargs[f"w_h{gate}"] = ad.tensor(rng.standard_normal((8, 8)) * 0.7)
-            kwargs[f"b_{gate}"] = ad.tensor(rng.standard_normal((1, 8)) * 0.7)
-        layer = model.LstmLayerParams(**kwargs)
-        x = rng.standard_normal(8)
-        h = rng.standard_normal(8)
-        c = rng.standard_normal(8)
-        state = model.LstmState(ad.tensor(h.reshape(1, 8)), ad.tensor(c.reshape(1, 8)))
-        out = model.lstm_step(ad.tensor(x.reshape(1, 8)), state, layer)
-        h_ref, c_ref = lstm_step_scalar(x.tolist(), h.tolist(), c.tolist(), layer)
+        w_x = rng.standard_normal((8, 32)) * 0.7
+        w_h = rng.standard_normal((8, 32)) * 0.7
+        b = rng.standard_normal((1, 32)) * 0.7
+        xs = rng.standard_normal((steps, 8))
+        out = ad.lstm_sequence(ad.tensor(xs), ad.tensor(w_x), ad.tensor(w_h), ad.tensor(b))
+        hs, cs, _ = ad.lstm_forward(xs, w_x, w_h, b)
+        assert np.array_equal(out.data, hs)
+        h_ref, c_ref = lstm_sequence_scalar(xs, (w_x, w_h, b))
         worst = max(
             worst,
-            float(np.max(np.abs(out.h.data[0] - np.array(h_ref)))),
-            float(np.max(np.abs(out.c.data[0] - np.array(c_ref)))),
+            float(np.max(np.abs(hs - np.array(h_ref)))),
+            float(np.max(np.abs(cs - np.array(c_ref)))),
         )
     assert worst <= 1e-12, f"worst deviation {worst}"
     print(
-        f"\nPASS criterion 2: lstm_step vs scalar-loop oracle, 100 random 8-dim "
-        f"cases, worst |delta| {worst:.2e} (<= 1e-12)"
+        f"\nPASS criterion 2: lstm_sequence vs scalar-loop oracle, every h and c of "
+        f"100 random 8-dim {steps}-step sequences, worst |delta| {worst:.2e} (<= 1e-12)"
     )
 
 

@@ -114,6 +114,51 @@ class TestForwardValues:
         composed = ad.add(ad.add(ad.matmul(x, wx), ad.matmul(h, wh)), b)
         assert np.array_equal(fused.data, composed.data)
 
+    def test_lstm_sequence_matches_per_gate_graph(self):
+        # The same layer composed from linear_pair/slice/sigmoid/tanh/mul/add
+        # nodes: forward values and every gradient agree.
+        rng = np.random.default_rng(4)
+        hidden, steps = 3, 5
+        params = [
+            ad.parameter(rng.standard_normal(shape))
+            for shape in ((steps, 4), (4, 4 * hidden), (hidden, 4 * hidden), (1, 4 * hidden))
+        ]
+
+        def composed(ps):
+            x, w_x, w_h, b = ps
+            h = ad.tensor(np.zeros((1, hidden)))
+            c = ad.tensor(np.zeros((1, hidden)))
+            hs = []
+            for t in range(steps):
+                a = ad.linear_pair(ad.slice_along(x, 0, t, t + 1), w_x, h, w_h, b)
+                i, f, o, g = (ad.slice_along(a, 1, k * hidden, (k + 1) * hidden) for k in range(4))
+                i, f, o, g = ad.sigmoid(i), ad.sigmoid(f), ad.sigmoid(o), ad.tanh(g)
+                c = ad.add(ad.mul(f, c), ad.mul(i, g))
+                h = ad.mul(o, ad.tanh(c))
+                hs.append(h)
+            return ad.concat(hs, axis=0)
+
+        fused = ad.lstm_sequence(*params)
+        reference = composed(params)
+        assert np.max(np.abs(fused.data - reference.data)) <= 1e-14
+        weights = ad.tensor(rng.standard_normal((steps, hidden)))
+        g_fused = ad.backward(ad.sum_all(ad.mul(fused, weights)), params=params)
+        g_ref = ad.backward(ad.sum_all(ad.mul(reference, weights)), params=params)
+        for p in params:
+            assert np.max(np.abs(g_fused[p] - g_ref[p])) <= 1e-13
+
+    def test_lstm_sequence_shape_errors(self):
+        x = ad.tensor(np.zeros((2, 3)))
+        w_h, b = ad.tensor(np.zeros((2, 8))), ad.tensor(np.zeros((1, 8)))
+        with pytest.raises(ShapeError, match="lstm_sequence"):
+            ad.lstm_sequence(x, ad.tensor(np.zeros((4, 8))), w_h, b)
+        with pytest.raises(ShapeError, match="lstm_sequence"):
+            ad.lstm_sequence(ad.tensor(np.zeros((0, 3))), ad.tensor(np.zeros((3, 8))), w_h, b)
+        with pytest.raises(ShapeError, match="lstm_sequence"):
+            ad.lstm_sequence(  # w_h with H = 2 rows needs 4H = 8 columns
+                x, ad.tensor(np.zeros((3, 6))), ad.tensor(np.zeros((2, 6))), ad.tensor(np.zeros((1, 6)))
+            )
+
     def test_concat_and_slice(self):
         a = ad.tensor(np.arange(6.0).reshape(2, 3))
         b = ad.tensor(np.arange(6.0, 12.0).reshape(2, 3))
@@ -173,7 +218,7 @@ class TestBackward:
         [
             "add", "sub", "mul", "matmul", "conv2d", "sigmoid", "tanh", "relu",
             "reshape", "concat", "slice", "sum", "mean", "l2norm", "dropout",
-            "maxpool", "linear_pair",
+            "maxpool", "linear_pair", "lstm_sequence",
         ],
     )
     def test_op_backward_matches_central_differences(self, name):
@@ -234,6 +279,9 @@ class TestBackward:
         elif name == "linear_pair":
             p = [randt(1, 3), randt(3, 4), randt(1, 5), randt(5, 4), randt(1, 4)]
             f = lambda ps: ad.l2norm(ad.linear_pair(*ps))
+        elif name == "lstm_sequence":
+            p = [randt(4, 3), randt(3, 8), randt(2, 8), randt(1, 8)]
+            f = lambda ps: ad.l2norm(ad.lstm_sequence(*ps))
         assert_backward_matches_fd(f, p)
 
 

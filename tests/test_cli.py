@@ -174,6 +174,17 @@ class TestTrainEvalRobustness:
         )
         assert code == 2
 
+    def test_eval_checkpoint_without_model_is_data_error(self, trained, dataset_dir, tmp_path):
+        head, _, rest = trained.read_bytes().partition(b"\n")
+        header = json.loads(head)
+        del header["model"]
+        bad = tmp_path / "no_model.ckpt"
+        bad.write_bytes(json.dumps(header).encode() + b"\n" + rest)
+        code = main(
+            ["eval", "--ckpt", str(bad), "--data", str(dataset_dir), "--out", str(tmp_path / "r.json")]
+        )
+        assert code == 2
+
     def test_eval_corrupted_parameters_is_numeric_failure(self, trained, dataset_dir, tmp_path):
         ckpt = pipeline.load_checkpoint(trained)
         ckpt.params.tensors["head.out.b"].data[:] = np.inf

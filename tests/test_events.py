@@ -92,6 +92,12 @@ class TestParsePoses:
         with pytest.raises(OrderingError):
             parse_poses("0.0 0 0 0 0 0 0 1\n0.0 1 1 1 0 0 0 1\n")
 
+    @pytest.mark.parametrize("position", ["nan 0 0", "0 nan 0", "0 0 inf", "-inf 0 0"])
+    def test_non_finite_position_rejected(self, position):
+        with pytest.raises(ParseError) as exc:
+            parse_poses(f"0.0 0 0 0 0 0 0 1\n0.1 {position} 0 0 0 1\n")
+        assert exc.value.line_no == 2
+
     def test_qw_zero_uses_first_nonzero_component(self):
         poses = parse_poses("0.0 0 0 0 0 -1 0 0\n")
         assert poses[0].q.tolist() == [0.0, 1.0, 0.0, 0.0]

@@ -8,7 +8,7 @@ from evpose import model as m
 from evpose.errors import DegenerateOutputError, ShapeError
 from evpose.event_image import EventImage
 from evpose.events import PoseLabel
-from oracles import lstm_step_scalar as lstm_step_scalar_oracle
+from oracles import lstm_sequence_scalar, lstm_step_scalar
 
 
 def blank_image(h=8, w=8):
@@ -16,21 +16,35 @@ def blank_image(h=8, w=8):
 
 
 def zero_layer(in_dim, hidden):
-    kwargs = {}
-    for gate in "ifog":
-        kwargs[f"w_x{gate}"] = ad.tensor(np.zeros((in_dim, hidden)))
-        kwargs[f"w_h{gate}"] = ad.tensor(np.zeros((hidden, hidden)))
-        kwargs[f"b_{gate}"] = ad.tensor(np.zeros((1, hidden)))
-    return m.LstmLayerParams(**kwargs)
+    """Fused (w_x, w_h, b) tensors of one LSTM layer, all zero."""
+    shapes = ((in_dim, 4 * hidden), (hidden, 4 * hidden), (1, 4 * hidden))
+    return tuple(ad.tensor(np.zeros(shape)) for shape in shapes)
 
 
 def random_layer(rng, in_dim, hidden, scale=0.5):
-    kwargs = {}
-    for gate in "ifog":
-        kwargs[f"w_x{gate}"] = ad.tensor(rng.standard_normal((in_dim, hidden)) * scale)
-        kwargs[f"w_h{gate}"] = ad.tensor(rng.standard_normal((hidden, hidden)) * scale)
-        kwargs[f"b_{gate}"] = ad.tensor(rng.standard_normal((1, hidden)) * scale)
-    return m.LstmLayerParams(**kwargs)
+    shapes = ((in_dim, 4 * hidden), (hidden, 4 * hidden), (1, 4 * hidden))
+    return tuple(ad.tensor(rng.standard_normal(shape) * scale) for shape in shapes)
+
+
+def arrays(layer):
+    return [t.data for t in layer]
+
+
+def run_layer(xs, layer):
+    """Hidden states, cell states and activated gates of one layer over the rows of xs."""
+    return ad.lstm_forward(np.asarray(xs, dtype=float), *arrays(layer))
+
+
+def count_graph_nodes(out):
+    """Non-leaf tensors reachable from ``out``."""
+    seen, stack, count = set(), [out], 0
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            count += node._vjp is not None
+            stack.extend(node._parents)
+    return count
 
 
 class TestModelConfig:
@@ -92,16 +106,15 @@ class TestCnnForward:
 class TestReshapeFeatures:
     def test_row_major_order(self):
         v = ad.tensor(np.arange(1.0, 17.0).reshape(1, 16))
-        steps = m.reshape_features(v)
-        assert len(steps) == 4
-        assert steps[0].data.tolist() == [[1.0, 2.0, 3.0, 4.0]]
-        assert steps[3].data.tolist() == [[13.0, 14.0, 15.0, 16.0]]
+        grid = m.reshape_features(v)
+        assert grid.data.shape == (4, 4)
+        assert grid.data[0].tolist() == [1.0, 2.0, 3.0, 4.0]
+        assert grid.data[3].tolist() == [13.0, 14.0, 15.0, 16.0]
 
     def test_reshape_then_flatten_is_identity(self):
         v = ad.tensor(np.arange(16.0).reshape(1, 16))
-        steps = m.reshape_features(v)
-        flat = np.concatenate([s.data[0] for s in steps])
-        assert np.array_equal(flat, v.data[0])
+        grid = m.reshape_features(v)
+        assert np.array_equal(grid.data.reshape(-1), v.data[0])
 
     def test_non_square_length(self):
         with pytest.raises(ShapeError):
@@ -109,90 +122,92 @@ class TestReshapeFeatures:
 
 
 class TestLstmStep:
+    """The LSTM cell, stepped by one layer's ``lstm_forward`` from a zero state."""
+
     def test_zero_everything(self):
-        layer = zero_layer(4, 4)
-        state = m.zero_state(4)
-        out = m.lstm_step(ad.tensor(np.zeros((1, 4))), state, layer)
-        assert np.all(out.c.data == 0.0)
-        assert np.all(out.h.data == 0.0)
+        hs, cs, _ = run_layer(np.zeros((3, 4)), zero_layer(4, 4))
+        assert np.all(cs == 0.0)
+        assert np.all(hs == 0.0)
 
     def test_zero_weights_with_carried_cell(self):
-        layer = zero_layer(4, 1)
-        state = m.LstmState(ad.tensor(np.zeros((1, 1))), ad.tensor(np.full((1, 1), 2.0)))
-        out = m.lstm_step(ad.tensor(np.zeros((1, 4))), state, layer)
-        assert out.c.data[0, 0] == pytest.approx(1.0)
-        assert out.h.data[0, 0] == pytest.approx(0.5 * math.tanh(1.0), abs=1e-15)
+        # Step 0 writes a cell through the g column of w_x. Step 1 has zero
+        # input and zero weights, so i = f = o = 1/2 and g = 0: the carried
+        # cell halves.
+        layer = zero_layer(1, 1)
+        layer[0].data[0, 3] = 1.0
+        hs, cs, _ = run_layer([[1.0], [0.0]], layer)
+        assert cs[0, 0] == pytest.approx(0.5 * math.tanh(1.0))
+        assert cs[1, 0] == 0.5 * cs[0, 0]
+        assert hs[1, 0] == pytest.approx(0.5 * math.tanh(cs[1, 0]), abs=1e-15)
 
     def test_zero_input_kills_input_weights(self):
         layer = zero_layer(1, 1)
-        for gate in "ifog":
-            getattr(layer, f"w_x{gate}").data[:] = 1.0
-        state = m.LstmState(ad.tensor(np.zeros((1, 1))), ad.tensor(np.full((1, 1), 2.0)))
-        out = m.lstm_step(ad.tensor(np.zeros((1, 1))), state, layer)
-        assert out.c.data[0, 0] == pytest.approx(1.0)
-        assert out.h.data[0, 0] == pytest.approx(0.5 * math.tanh(1.0), abs=1e-15)
+        layer[2].data[0, 3] = 1.0  # g bias: carries a growing cell
+        base_hs, base_cs, _ = run_layer(np.zeros((3, 1)), layer)
+        layer[0].data[:] = 1.0
+        hs, cs, _ = run_layer(np.zeros((3, 1)), layer)
+        assert np.array_equal(hs, base_hs) and np.array_equal(cs, base_cs)
+        c = 0.0
+        for t in range(3):
+            c = 0.5 * c + 0.5 * math.tanh(1.0)
+            assert cs[t, 0] == pytest.approx(c)
+            assert hs[t, 0] == pytest.approx(0.5 * math.tanh(c), abs=1e-15)
 
     def test_matches_scalar_loop_oracle(self):
         rng = np.random.default_rng(42)
         for _ in range(100):
             layer = random_layer(rng, 8, 8)
-            x = rng.standard_normal(8)
-            h = rng.standard_normal(8)
-            c = rng.standard_normal(8)
-            state = m.LstmState(ad.tensor(h.reshape(1, 8)), ad.tensor(c.reshape(1, 8)))
-            out = m.lstm_step(ad.tensor(x.reshape(1, 8)), state, layer)
-            h_ref, c_ref = lstm_step_scalar_oracle(x.tolist(), h.tolist(), c.tolist(), layer)
-            assert np.max(np.abs(out.h.data[0] - np.array(h_ref))) <= 1e-12
-            assert np.max(np.abs(out.c.data[0] - np.array(c_ref))) <= 1e-12
+            xs = rng.standard_normal((5, 8))
+            hs, cs, _ = run_layer(xs, layer)
+            h_ref, c_ref = lstm_sequence_scalar(xs, arrays(layer))
+            assert np.max(np.abs(hs - np.array(h_ref))) <= 1e-12
+            assert np.max(np.abs(cs - np.array(c_ref))) <= 1e-12
+            assert np.array_equal(ad.lstm_sequence(ad.tensor(xs), *layer).data, hs)
 
     def test_gate_ranges_and_bounded_cell_growth(self):
         rng = np.random.default_rng(7)
         layer = random_layer(rng, 6, 6, scale=2.0)
-        state = m.zero_state(6)
-        for _ in range(20):
-            x = ad.tensor(rng.standard_normal((1, 6)) * 3)
-            new = m.lstm_step(x, state, layer)
-            assert np.all(np.abs(new.c.data) <= np.abs(state.c.data) + 1.0 + 1e-12)
-            assert np.all(np.abs(new.h.data) < 1.0)
-            state = new
+        hs, cs, acts = run_layer(rng.standard_normal((20, 6)) * 3, layer)
+        assert np.all((acts[:, :18] >= 0.0) & (acts[:, :18] <= 1.0))  # i, f, o
+        assert np.all(np.abs(acts[:, 18:]) <= 1.0)  # g
+        prev = np.zeros(6)
+        for c in cs:
+            assert np.all(np.abs(c) <= np.abs(prev) + 1.0 + 1e-12)
+            prev = c
+        assert np.all(np.abs(hs) < 1.0)
 
 
 class TestStackedLstm:
     def test_single_layer_single_step_equals_lstm_step(self):
         rng = np.random.default_rng(3)
         layer = random_layer(rng, 5, 5)
-        x = ad.tensor(rng.standard_normal((1, 5)))
-        via_stack = m.stacked_lstm_forward([x], [layer])
-        via_step = m.lstm_step(x, m.zero_state(5), layer)
-        assert np.array_equal(via_stack.data, via_step.h.data)
+        x = rng.standard_normal((1, 5))
+        via_stack = m.stacked_lstm_forward(ad.tensor(x), [layer])
+        h_ref, _ = lstm_step_scalar(x[0].tolist(), [0.0] * 5, [0.0] * 5, arrays(layer))
+        assert np.array_equal(via_stack.data, run_layer(x, layer)[0])
+        assert np.max(np.abs(via_stack.data[0] - np.array(h_ref))) <= 1e-12
 
     def test_zero_params_zero_output(self):
         rng = np.random.default_rng(4)
         layers = [zero_layer(5, 5), zero_layer(5, 5)]
-        seq = [ad.tensor(rng.standard_normal((1, 5))) for _ in range(6)]
-        out = m.stacked_lstm_forward(seq, layers)
+        out = m.stacked_lstm_forward(ad.tensor(rng.standard_normal((6, 5))), layers)
+        assert out.data.shape == (1, 5)
         assert np.all(out.data == 0.0)
 
     def test_two_layers_match_manual_chaining(self):
         rng = np.random.default_rng(5)
         l0 = random_layer(rng, 4, 6)
         l1 = random_layer(rng, 6, 6)
-        seq = [ad.tensor(rng.standard_normal((1, 4))) for _ in range(7)]
-        out = m.stacked_lstm_forward(seq, [l0, l1])
-        # independent two-loop chaining
-        state = m.zero_state(6)
-        hidden_seq = []
-        for x in seq:
-            state = m.lstm_step(x, state, l0)
-            hidden_seq.append(state.h)
-        state = m.zero_state(6)
-        for h in hidden_seq:
-            state = m.lstm_step(h, state, l1)
-        assert np.array_equal(out.data, state.h.data)
+        xs = rng.standard_normal((7, 4))
+        out = m.stacked_lstm_forward(ad.tensor(xs), [l0, l1])
+        # independent two-pass chaining
+        hidden_seq, _, _ = run_layer(xs, l0)
+        top, _, _ = run_layer(hidden_seq, l1)
+        assert np.array_equal(out.data, top[-1:])
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(ShapeError):
-            m.stacked_lstm_forward([], [zero_layer(4, 4)])
+            m.stacked_lstm_forward(ad.tensor(np.zeros((0, 4))), [zero_layer(4, 4)])
 
 
 class TestPoseHead:
@@ -229,6 +244,12 @@ class TestPoseLoss:
     def test_quaternion_unit_offset(self):
         pred = ad.tensor(np.array([[0.0, 0.0, 0.0, 0.1, 0.0, 0.0, 1.0]]))
         assert float(m.pose_loss(pred, self.label()).data) == pytest.approx(0.1)
+
+    def test_desk_training_step_graph_is_small(self):
+        # one node per LSTM layer: the per-gate graph built 455
+        params = m.init_params(m.desk_config(), seed=0)
+        out = m.forward(blank_image(64, 64), params, training=True, rng_seed=0)
+        assert count_graph_nodes(m.pose_loss(out, self.label())) <= 40
 
     def test_differentiable_through_network(self):
         cfg = m.toy_config()

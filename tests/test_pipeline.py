@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -183,18 +185,65 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             pipeline.load_checkpoint(path)
 
-    def test_version_mismatch_rejected(self, tmp_path):
-        import json
-
-        path = tmp_path / "model.ckpt"
+    def rewrite_header(self, path, edit):
         pipeline.save_checkpoint(self.ckpt, path)
-        data = path.read_bytes()
-        head, _, rest = data.partition(b"\n")
+        head, _, rest = path.read_bytes().partition(b"\n")
         header = json.loads(head)
-        header["version"] = 99
+        edit(header)
         path.write_bytes(json.dumps(header).encode() + b"\n" + rest)
+
+    def test_version_mismatch_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        self.rewrite_header(path, lambda h: h.update(version=99))
         with pytest.raises(CheckpointError):
             pipeline.load_checkpoint(path)
+
+    def test_version_1_header_rejected(self, tmp_path):
+        # version 1 stored twelve per-gate tensors per LSTM layer
+        path = tmp_path / "model.ckpt"
+        self.rewrite_header(path, lambda h: h.update(version=1))
+        with pytest.raises(CheckpointError, match="version 1"):
+            pipeline.load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda h: h.pop("model"),
+            lambda h: h.pop("params"),
+            lambda h: h.pop("optimizer"),
+            lambda h: h.pop("epoch"),
+            lambda h: h.pop("loss_history"),
+            lambda h: h.update(model=[]),
+            lambda h: h.update(params={}),
+            lambda h: h.update(optimizer={"lr": 0.1}),
+            lambda h: h.update(epoch="2"),
+            lambda h: h.update(loss_history="0.5"),
+            lambda h: h["model"].update(feature_dim=15),
+        ],
+        ids=["no-model", "no-params", "no-optimizer", "no-epoch", "no-loss-history", "model-list",
+             "params-dict", "optimizer-partial", "epoch-str", "loss-history-str", "bad-model"],
+    )
+    def test_malformed_header_rejected(self, tmp_path, edit):
+        path = tmp_path / "model.ckpt"
+        self.rewrite_header(path, edit)
+        with pytest.raises(CheckpointError):
+            pipeline.load_checkpoint(path)
+
+    def test_failed_save_leaves_existing_checkpoint(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        pipeline.save_checkpoint(self.ckpt, path)
+        before = path.read_bytes()
+        bad = pipeline.Checkpoint(
+            m.ModelParams(self.ckpt.params.config, dict(self.ckpt.params.tensors)),
+            self.ckpt.opt_state,
+            self.ckpt.epoch,
+            self.ckpt.loss_history,
+        )
+        bad.params.tensors["head.out.w"] = ad.parameter(np.zeros((3, 3)))
+        with pytest.raises(CheckpointError):
+            pipeline.save_checkpoint(bad, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
     def test_trailing_data_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"
