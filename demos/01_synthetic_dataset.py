@@ -13,7 +13,7 @@ import os
 
 import numpy as np
 
-from evpose import synth
+from evpose import config, synth
 from evpose.event_image import build_image, write_pgm
 from evpose.events import parse_events, parse_poses, window_events
 
@@ -30,7 +30,7 @@ print(f"scene: {len(scene.segments)} segments, {scene.sensor_w}x{scene.sensor_h}
 # consumes.
 config_path = os.path.join(OUT, "scene.json")
 with open(config_path, "w") as f:
-    f.write(scene.to_json())
+    f.write(config.to_json(scene))
 print(f"wrote {config_path}")
 
 events_text, poses_text = synth.generate_dataset(scene)

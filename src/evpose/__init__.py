@@ -7,7 +7,7 @@ hand-rolled reverse-mode autodiff core. Includes a synthetic wireframe
 dataset generator and the evaluation/robustness experiment harness.
 """
 
-from . import autodiff, evaluation, event_image, events, model, pipeline, synth
+from . import autodiff, config, evaluation, event_image, events, model, pipeline, synth
 from .errors import (
     BoundsError,
     CheckpointError,

@@ -1,23 +1,22 @@
 """Command line interface.
 
 Subcommands: ``convert`` (events -> PGM event images + index CSV),
-``synth`` (scene config -> dataset), ``train``, ``eval``, ``robustness``
-and ``fetch`` (download dataset text files from a URL manifest).
+``synth`` (scene config -> dataset), ``train``, ``eval`` and
+``robustness``. Config files are read by ``config.from_json``.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
+Exit codes: 0 success, 1 usage error (an out-of-range argument too),
+2 data error, 3 numeric failure. Errors are reported on one line.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
-import json
 import os
 import sys
-import urllib.request
 
 from . import evaluation, pipeline, synth
+from .config import from_json
 from .errors import DataError, NumericError
 from .event_image import image_from_window, write_pgm
 from .events import parse_events, parse_poses, split_novel, split_random, window_events
@@ -25,8 +24,26 @@ from .events import parse_events, parse_poses, split_novel, split_random, window
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems exit 1, not argparse's default 2
-        self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _ranged(kind, ok, rule):
+    """An argparse ``type=`` that parses ``kind`` and requires ``ok(value)``."""
+
+    def parse(text):
+        value = kind(text)  # argparse reports a ValueError as "invalid <__name__> value"
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__
+    return parse
+
+
+_NEWEST_FRACTION = _ranged(float, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
+_TRAIN_FRACTION = _ranged(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
+_PIXELS = _ranged(int, lambda v: v >= 1, ">= 1")
+_SEED = _ranged(int, lambda v: v >= 0, ">= 0")
 
 
 def _load_windows(events_path, poses_path, sensor_w, sensor_h):
@@ -67,8 +84,8 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as f:
-        config = synth.SceneConfig.from_json(f.read())
+    with open(args.config, "rb") as f:
+        config = from_json(synth.SceneConfig, f.read())
     events_path, poses_path = synth.write_dataset(config, args.out)
     with open(poses_path, "r", encoding="utf-8") as f:
         n_poses = sum(1 for _ in f)
@@ -79,8 +96,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as f:
-        config = pipeline.TrainConfig.from_json(f.read())
+    with open(args.config, "rb") as f:
+        config = from_json(pipeline.TrainConfig, f.read())
     windows, skipped = _load_windows(
         os.path.join(args.data, "events.txt"),
         os.path.join(args.data, "groundtruth.txt"),
@@ -146,37 +163,6 @@ def _cmd_robustness(args) -> int:
     return 0
 
 
-def _cmd_fetch(args) -> int:
-    with open(args.manifest, "r", encoding="utf-8") as f:
-        manifest = json.load(f)
-    files = manifest.get("files")
-    if not isinstance(files, list) or not files:
-        raise DataError("manifest must contain a non-empty 'files' list")
-    os.makedirs(args.out, exist_ok=True)
-    for entry in files:
-        url = entry.get("url")
-        if not url:
-            raise DataError("manifest entry missing 'url'")
-        name = entry.get("name") or os.path.basename(url.split("?", 1)[0])
-        if not name:
-            raise DataError(f"cannot derive a filename from {url!r}")
-        with urllib.request.urlopen(url) as response:
-            data = response.read()
-        if "length" in entry and len(data) != int(entry["length"]):
-            raise DataError(
-                f"{name}: expected {entry['length']} bytes, got {len(data)}"
-            )
-        if "sha256" in entry:
-            digest = hashlib.sha256(data).hexdigest()
-            if digest != str(entry["sha256"]).lower():
-                raise DataError(f"{name}: sha256 mismatch")
-        dest = os.path.join(args.out, name)
-        with open(dest, "wb") as f:
-            f.write(data)
-        print(f"fetched {name} ({len(data)} bytes)")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="evpose", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -185,9 +171,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--events", required=True, help="events text file")
     p.add_argument("--poses", required=True, help="groundtruth text file")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--fraction", type=float, default=1.0, help="newest fraction of events per window")
-    p.add_argument("--width", type=int, default=240, help="sensor width in pixels")
-    p.add_argument("--height", type=int, default=180, help="sensor height in pixels")
+    p.add_argument("--fraction", type=_NEWEST_FRACTION, default=1.0, help="newest fraction of events per window")
+    p.add_argument("--width", type=_PIXELS, default=240, help="sensor width in pixels")
+    p.add_argument("--height", type=_PIXELS, default=180, help="sensor height in pixels")
     p.set_defaults(func=_cmd_convert)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset from a scene config")
@@ -209,15 +195,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--ckpt", required=True, help="checkpoint path")
         p.add_argument("--data", required=True, help="directory with events.txt and groundtruth.txt")
         p.add_argument("--split", choices=("random", "novel"), default="random")
-        p.add_argument("--seed", type=int, default=0, help="random-split seed")
-        p.add_argument("--fraction", type=float, default=0.7, help="train fraction of the split")
+        p.add_argument("--seed", type=_SEED, default=0, help="random-split seed")
+        p.add_argument("--fraction", type=_TRAIN_FRACTION, default=0.7, help="train fraction of the split")
         p.add_argument("--out", required=True, help=out_help)
         p.set_defaults(func=fn)
 
-    p = sub.add_parser("fetch", help="download dataset text files from a URL manifest")
-    p.add_argument("--manifest", required=True, help="JSON manifest with a 'files' list")
-    p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=_cmd_fetch)
     return parser
 
 

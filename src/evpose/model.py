@@ -34,7 +34,7 @@ class ModelConfig:
     ``conv_blocks`` entries are (out_channels, kernel, stride, pool); each
     block is conv (zero-padded to keep dims at stride 1) -> relu -> maxpool.
     ``feature_dim`` must be a perfect square S*S; the LSTM runs over S steps
-    of width S.
+    of width S. Construction checks that sizes are >= 1 and pools tile.
     """
 
     input_h: int = 64
@@ -47,14 +47,19 @@ class ModelConfig:
     dropout_rate: float = 0.5
 
     def __post_init__(self):
+        object.__setattr__(self, "conv_blocks", tuple(tuple(b) for b in self.conv_blocks))
+        for name in ("input_h", "input_w", "feature_dim", "lstm_hidden", "lstm_layers", "fc_hidden"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for i, block in enumerate(self.conv_blocks):
+            if min(block) < 1:
+                raise ValueError(f"conv_blocks[{i}] entries must be >= 1, got {block}")
         s = math.isqrt(self.feature_dim)
         if s * s != self.feature_dim:
             raise ValueError(f"feature_dim must be a perfect square, got {self.feature_dim}")
-        if self.lstm_layers < 1:
-            raise ValueError(f"lstm_layers must be >= 1, got {self.lstm_layers}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
-        object.__setattr__(self, "conv_blocks", tuple(tuple(b) for b in self.conv_blocks))
+        self.conv_output_shape()
 
     @property
     def seq_len(self) -> int:
@@ -77,31 +82,6 @@ class ModelConfig:
         if h < 1 or w < 1:
             raise ValueError("conv stack shrinks the input to nothing")
         return c, h, w
-
-    def to_dict(self) -> dict:
-        return {
-            "input_h": self.input_h,
-            "input_w": self.input_w,
-            "conv_blocks": [list(b) for b in self.conv_blocks],
-            "feature_dim": self.feature_dim,
-            "lstm_hidden": self.lstm_hidden,
-            "lstm_layers": self.lstm_layers,
-            "fc_hidden": self.fc_hidden,
-            "dropout_rate": self.dropout_rate,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(
-            input_h=int(d["input_h"]),
-            input_w=int(d["input_w"]),
-            conv_blocks=tuple(tuple(int(v) for v in b) for b in d["conv_blocks"]),
-            feature_dim=int(d["feature_dim"]),
-            lstm_hidden=int(d["lstm_hidden"]),
-            lstm_layers=int(d["lstm_layers"]),
-            fc_hidden=int(d["fc_hidden"]),
-            dropout_rate=float(d["dropout_rate"]),
-        )
 
 
 def toy_config() -> ModelConfig:

@@ -4,14 +4,15 @@ Training is per-image SGD (gradients optionally accumulated over a small
 batch), fully deterministic given the seed: epoch shuffles and per-sample
 dropout masks all derive from one seeded generator.
 
-Checkpoints (format version 2) are a one-line JSON header (format
+Checkpoints (format version 2) are a one-line JSON ``_Header`` (format,
 version, model config, parameter manifest, optimizer hyperparameters,
-epoch, loss history) followed by the raw little-endian float64 parameter
-arrays in manifest order, then the velocity arrays in the same order. The
-manifest stores each LSTM layer as fused ``w_x``, ``w_h`` and ``b`` gate
-tensors (version 1 stored twelve per-gate tensors and is not readable).
-Files are written to a temporary name and renamed into place, so a failed
-or interrupted save leaves any previous checkpoint untouched.
+epoch, loss history; read strictly) followed by the raw little-endian
+float64 parameter arrays in manifest order, then the velocity arrays in
+the same order. The manifest stores each LSTM layer as fused ``w_x``,
+``w_h`` and ``b`` gate tensors (version 1 stored twelve per-gate tensors
+and is not readable). Files are written to a temporary name and renamed
+into place, so a failed or interrupted save leaves any previous
+checkpoint untouched.
 """
 
 from __future__ import annotations
@@ -19,14 +20,15 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from . import model as _model
-from .errors import CheckpointError, InsufficientDataError, NumericError
+from .config import from_dict
+from .errors import CheckpointError, DataError, InsufficientDataError, NumericError
 from .event_image import image_from_window
 from .events import EventWindow
 from .model import ModelConfig, ModelParams, param_manifest
@@ -52,32 +54,16 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not (self.lr >= 0.0 and self.weight_decay >= 0.0):
+            raise ValueError(f"lr and weight_decay must be >= 0, got {self.lr} and {self.weight_decay}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
         if not 0.0 < self.split_fraction < 1.0:
             raise ValueError(f"split_fraction must be in (0, 1), got {self.split_fraction}")
         if self.split not in ("random", "novel"):
             raise ValueError(f"split must be 'random' or 'novel', got {self.split!r}")
-
-    def to_json(self) -> str:
-        d = {
-            "model": self.model.to_dict(),
-            "lr": self.lr,
-            "momentum": self.momentum,
-            "weight_decay": self.weight_decay,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "seed": self.seed,
-            "split": self.split,
-            "split_fraction": self.split_fraction,
-        }
-        return json.dumps(d, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "TrainConfig":
-        d = json.loads(text)
-        kwargs = dict(d)
-        if "model" in kwargs:
-            kwargs["model"] = ModelConfig.from_dict(kwargs["model"])
-        return cls(**kwargs)
 
 
 @dataclass(eq=False)
@@ -152,26 +138,47 @@ def train(config: TrainConfig, windows: Sequence[EventWindow]) -> Checkpoint:
     return Checkpoint(params, opt, config.epochs, history)
 
 
+@dataclass(frozen=True)
+class _ParamEntry:
+    name: str
+    shape: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class _Optimizer:
+    lr: float
+    momentum: float
+    weight_decay: float
+
+
+@dataclass(frozen=True)
+class _Header:
+    format: str
+    version: int
+    model: ModelConfig
+    params: tuple[_ParamEntry, ...]
+    optimizer: _Optimizer
+    epoch: int
+    loss_history: tuple[float, ...]
+
+
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     manifest = param_manifest(ckpt.params.config)
-    header = {
-        "format": _CHECKPOINT_FORMAT,
-        "version": _CHECKPOINT_VERSION,
-        "model": ckpt.params.config.to_dict(),
-        "params": [{"name": name, "shape": list(shape)} for name, shape in manifest],
-        "optimizer": {
-            "lr": ckpt.opt_state.lr,
-            "momentum": ckpt.opt_state.momentum,
-            "weight_decay": ckpt.opt_state.weight_decay,
-        },
-        "epoch": ckpt.epoch,
-        "loss_history": ckpt.loss_history,
-    }
+    opt = ckpt.opt_state
+    header = _Header(
+        format=_CHECKPOINT_FORMAT,
+        version=_CHECKPOINT_VERSION,
+        model=ckpt.params.config,
+        params=tuple(_ParamEntry(name, shape) for name, shape in manifest),
+        optimizer=_Optimizer(opt.lr, opt.momentum, opt.weight_decay),
+        epoch=ckpt.epoch,
+        loss_history=tuple(ckpt.loss_history),
+    )
     path = os.fspath(path)
     tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as f:
-            f.write(json.dumps(header).encode("utf-8") + b"\n")
+            f.write(json.dumps(asdict(header)).encode("utf-8") + b"\n")
             for name, shape in manifest:
                 arr = ckpt.params.tensors[name].data
                 if arr.shape != shape:
@@ -185,32 +192,19 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
             os.remove(tmp)
 
 
-def _typed(header: dict, key: str, kind: type):
-    value = header[key]
-    if not isinstance(value, kind):
-        raise TypeError(f"{key!r} must be {kind.__name__}, got {value!r}")
-    return value
-
-
-def _parse_header(header) -> tuple[ModelConfig, dict, int, list[float]]:
-    """Validate a checkpoint header; returns (config, optimizer, epoch, loss history)."""
+def _parse_header(header) -> _Header:
+    """Check the format and version, then read the rest strictly as a ``_Header``."""
     if not isinstance(header, dict) or header.get("format") != _CHECKPOINT_FORMAT:
         raise CheckpointError("not an evpose checkpoint")
     if header.get("version") != _CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {header.get('version')!r}")
     try:
-        config = ModelConfig.from_dict(_typed(header, "model", dict))
-        stored = [(e["name"], tuple(e["shape"])) for e in _typed(header, "params", list)]
-        opt = _typed(header, "optimizer", dict)
-        optimizer = {k: float(opt[k]) for k in ("lr", "momentum", "weight_decay")}
-        epoch = _typed(header, "epoch", int)
-        loss_history = [float(v) for v in _typed(header, "loss_history", list)]
-        manifest_ok = stored == param_manifest(config)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise CheckpointError(f"malformed checkpoint header: {type(exc).__name__}: {exc}") from None
-    if not manifest_ok:
+        parsed = from_dict(_Header, header, "header")
+    except DataError as exc:
+        raise CheckpointError(f"malformed checkpoint header: {exc}") from None
+    if [(e.name, e.shape) for e in parsed.params] != param_manifest(parsed.model):
         raise CheckpointError("checkpoint manifest does not match its model config")
-    return config, optimizer, epoch, loss_history
+    return parsed
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -227,8 +221,8 @@ def load_checkpoint(path) -> Checkpoint:
             header = json.loads(header_line.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CheckpointError(f"unreadable checkpoint header: {exc}") from None
-        config, optimizer, epoch, loss_history = _parse_header(header)
-        manifest = param_manifest(config)
+        parsed = _parse_header(header)
+        manifest = param_manifest(parsed.model)
 
         def read_array(shape):
             count = math.prod(shape)
@@ -242,8 +236,8 @@ def load_checkpoint(path) -> Checkpoint:
         if f.read(1):
             raise CheckpointError("trailing data after checkpoint arrays")
     return Checkpoint(
-        params=ModelParams(config, tensors),
-        opt_state=ad.OptState(velocity=velocity, **optimizer),
-        epoch=epoch,
-        loss_history=loss_history,
+        params=ModelParams(parsed.model, tensors),
+        opt_state=ad.OptState(velocity=velocity, **asdict(parsed.optimizer)),
+        epoch=parsed.epoch,
+        loss_history=list(parsed.loss_history),
     )

@@ -6,11 +6,13 @@ rasterized into a binary edge mask; pixels that toggle between consecutive
 masks emit one event each (+1 where an edge appears, -1 where it
 disappears) with timestamps jittered uniformly inside the interval. The
 output text parses losslessly through the event/pose readers.
+
+In a ``config.from_json`` scene file every ``SceneConfig`` key is
+required; ``Trajectory`` keys may be omitted and default to zero.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -34,21 +36,6 @@ class Trajectory:
     euler_frequency_hz: tuple[float, float, float] = (0.0, 0.0, 0.0)
     euler_phase: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
-    def to_dict(self) -> dict:
-        return {
-            "position_base": list(self.position_base),
-            "position_amplitude": list(self.position_amplitude),
-            "position_frequency_hz": list(self.position_frequency_hz),
-            "position_phase": list(self.position_phase),
-            "euler_amplitude_deg": list(self.euler_amplitude_deg),
-            "euler_frequency_hz": list(self.euler_frequency_hz),
-            "euler_phase": list(self.euler_phase),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Trajectory":
-        return cls(**{key: tuple(float(v) for v in d[key]) for key in d})
-
 
 @dataclass(frozen=True)
 class SceneConfig:
@@ -70,38 +57,8 @@ class SceneConfig:
             raise DataError("scene needs at least one segment")
         if self.sensor_w < 1 or self.sensor_h < 1 or self.focal <= 0.0:
             raise DataError("invalid sensor geometry")
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "sensor_w": self.sensor_w,
-                "sensor_h": self.sensor_h,
-                "focal": self.focal,
-                "segments": [[list(a), list(b)] for a, b in self.segments],
-                "trajectory": self.trajectory.to_dict(),
-                "rate_hz": self.rate_hz,
-                "duration": self.duration,
-                "seed": self.seed,
-            },
-            indent=2,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "SceneConfig":
-        d = json.loads(text)
-        return cls(
-            sensor_w=int(d["sensor_w"]),
-            sensor_h=int(d["sensor_h"]),
-            focal=float(d["focal"]),
-            segments=tuple(
-                (tuple(float(v) for v in a), tuple(float(v) for v in b))
-                for a, b in d["segments"]
-            ),
-            trajectory=Trajectory.from_dict(d["trajectory"]),
-            rate_hz=float(d["rate_hz"]),
-            duration=float(d["duration"]),
-            seed=int(d["seed"]),
-        )
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed}")
 
 
 def quat_from_euler(roll: float, pitch: float, yaw: float) -> np.ndarray:

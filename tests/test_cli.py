@@ -1,14 +1,14 @@
-import hashlib
+import copy
+import dataclasses
 import json
 import os
-import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
+import re
 
 import numpy as np
 import pytest
 
+from evpose import config, pipeline, synth
 from evpose import model as m
-from evpose import pipeline, synth
 from evpose.cli import main
 
 
@@ -22,16 +22,18 @@ def dataset_dir(tmp_path_factory):
 
 def tiny_train_config(tmp_path, **overrides):
     cfg = dict(
-        model=m.ModelConfig(
-            input_h=64,
-            input_w=64,
-            conv_blocks=[[4, 3, 1, 4], [4, 3, 1, 4]],
-            feature_dim=16,
-            lstm_hidden=8,
-            lstm_layers=1,
-            fc_hidden=8,
-            dropout_rate=0.5,
-        ).to_dict(),
+        model=dataclasses.asdict(
+            m.ModelConfig(
+                input_h=64,
+                input_w=64,
+                conv_blocks=[[4, 3, 1, 4], [4, 3, 1, 4]],
+                feature_dim=16,
+                lstm_hidden=8,
+                lstm_layers=1,
+                fc_hidden=8,
+                dropout_rate=0.5,
+            )
+        ),
         lr=1e-4,
         epochs=2,
         seed=1,
@@ -64,7 +66,7 @@ class TestUsage:
 class TestSynthAndConvert:
     def test_synth_writes_dataset(self, tmp_path):
         config_path = tmp_path / "scene.json"
-        config_path.write_text(synth.default_scene(seed=1, duration=0.1).to_json())
+        config_path.write_text(config.to_json(synth.default_scene(seed=1, duration=0.1)))
         out = tmp_path / "ds"
         assert main(["synth", "--config", str(config_path), "--out", str(out)]) == 0
         assert (out / "events.txt").exists()
@@ -202,74 +204,95 @@ class TestTrainEvalRobustness:
         assert code == 3
 
 
-class _ManifestServer:
-    def __init__(self, files):
-        handler_files = dict(files)
-
-        class Handler(BaseHTTPRequestHandler):
-            def do_GET(self):
-                body = handler_files.get(self.path)
-                if body is None:
-                    self.send_error(404)
-                    return
-                self.send_response(200)
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-            def log_message(self, *args):
-                pass
-
-        self.server = HTTPServer(("127.0.0.1", 0), Handler)
-        self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
-
-    def __enter__(self):
-        self.thread.start()
-        return f"http://127.0.0.1:{self.server.server_address[1]}"
-
-    def __exit__(self, *exc):
-        self.server.shutdown()
+_TRAIN = json.loads(config.to_json(pipeline.TrainConfig(model=m.toy_config(), epochs=1)))
+_SCENE = json.loads(config.to_json(synth.default_scene(duration=0.1)))
+_DROP = object()
 
 
-class TestFetch:
-    def test_fetch_downloads_and_verifies(self, tmp_path):
-        payload = b"0.001 1 1 1\n0.002 2 2 0\n"
-        with _ManifestServer({"/events.txt": payload}) as base:
-            manifest = tmp_path / "manifest.json"
-            manifest.write_text(
-                json.dumps(
-                    {
-                        "files": [
-                            {
-                                "url": f"{base}/events.txt",
-                                "length": len(payload),
-                                "sha256": hashlib.sha256(payload).hexdigest(),
-                            }
-                        ]
-                    }
-                )
-            )
-            out = tmp_path / "downloaded"
-            assert main(["fetch", "--manifest", str(manifest), "--out", str(out)]) == 0
-            assert (out / "events.txt").read_bytes() == payload
+def _edited(base, path, value=_DROP):
+    """JSON text of ``base`` with the value at ``path`` replaced, or dropped."""
+    d = copy.deepcopy(base)
+    node = d
+    for key in path[:-1]:
+        node = node[key]
+    if value is _DROP:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return json.dumps(d)
 
-    def test_fetch_length_mismatch_is_data_error(self, tmp_path):
-        with _ManifestServer({"/f.txt": b"abc"}) as base:
-            manifest = tmp_path / "manifest.json"
-            manifest.write_text(
-                json.dumps({"files": [{"url": f"{base}/f.txt", "length": 999}]})
-            )
-            assert main(["fetch", "--manifest", str(manifest), "--out", str(tmp_path / "o")]) == 2
 
-    def test_fetch_digest_mismatch_is_data_error(self, tmp_path):
-        with _ManifestServer({"/f.txt": b"abc"}) as base:
-            manifest = tmp_path / "manifest.json"
-            manifest.write_text(
-                json.dumps({"files": [{"url": f"{base}/f.txt", "sha256": "0" * 64}]})
-            )
-            assert main(["fetch", "--manifest", str(manifest), "--out", str(tmp_path / "o")]) == 2
+# (command, payload, exit code, fragment of the message). A train/synth payload
+# is the config file's content, an eval-header payload edits a trained
+# checkpoint's header, and an argument-range payload is extra arguments.
+_BAD_INPUTS = {
+    "train-unknown-key": ("train", _edited(_TRAIN, ["learning_rate"], 0.1), 2, "unknown key(s) 'learning_rate'"),
+    "train-nested-unknown-key": ("train", _edited(_TRAIN, ["model", "depth"], 3), 2, "TrainConfig.model: unknown"),
+    "train-lr-str": ("train", _edited(_TRAIN, ["lr"], "fast"), 2, "TrainConfig.lr: expected a finite float"),
+    "train-lr-nan": ("train", _edited(_TRAIN, ["lr"], float("nan")), 2, "TrainConfig.lr: expected a finite float"),
+    "train-lr-huge-int": ("train", _edited(_TRAIN, ["lr"], 10**400), 2, "TrainConfig.lr: expected a finite float"),
+    "train-seed-float": ("train", _edited(_TRAIN, ["seed"], 1.5), 2, "TrainConfig.seed: expected int"),
+    "train-epochs-float": ("train", _edited(_TRAIN, ["epochs"], 1.5), 2, "TrainConfig.epochs: expected int"),
+    "train-epochs-bool": ("train", _edited(_TRAIN, ["epochs"], True), 2, "TrainConfig.epochs: expected int"),
+    "train-split-fraction-null": ("train", _edited(_TRAIN, ["split_fraction"], None), 2, "TrainConfig.split_fraction"),
+    "train-nested-ill-typed": ("train", _edited(_TRAIN, ["model", "lstm_hidden"], "8"), 2, "TrainConfig.model.lstm_hidden"),
+    "train-model-not-object": ("train", _edited(_TRAIN, ["model"], [8, 8]), 2, "TrainConfig.model: expected an object"),
+    "train-epochs-0": ("train", _edited(_TRAIN, ["epochs"], 0), 2, "epochs must be >= 1"),
+    "train-negative-seed": ("train", _edited(_TRAIN, ["seed"], -1), 2, "seed must be >= 0"),
+    "train-lstm-hidden-0": ("train", _edited(_TRAIN, ["model", "lstm_hidden"], 0), 2, "TrainConfig.model: lstm_hidden must be >= 1"),
+    "train-short-conv-block": ("train", _edited(_TRAIN, ["model", "conv_blocks", 0], [4, 3, 1]), 2,
+                               "TrainConfig.model.conv_blocks[0]: expected 4 items"),
+    "train-pool-does-not-tile": ("train", _edited(_TRAIN, ["model", "input_h"], 9), 2, "does not tile"),
+    "train-bad-json": ("train", '{"lr": 0.1,', 2, "TrainConfig: invalid JSON"),
+    "train-not-object": ("train", "[]", 2, "TrainConfig: expected an object"),
+    "synth-missing-key": ("synth", _edited(_SCENE, ["seed"]), 2, "SceneConfig: missing key 'seed'"),
+    "synth-unknown-key": ("synth", _edited(_SCENE, ["fps"], 30), 2, "unknown key(s) 'fps'"),
+    "synth-nested-unknown-key": ("synth", _edited(_SCENE, ["trajectory", "spin"], [1, 2, 3]), 2,
+                                 "SceneConfig.trajectory: unknown"),
+    "synth-2d-segment-point": ("synth", _edited(_SCENE, ["segments", 0, 0], [0.0, 0.0]), 2,
+                               "SceneConfig.segments[0][0]: expected 3 items"),
+    "synth-negative-seed": ("synth", _edited(_SCENE, ["seed"], -1), 2, "seed must be >= 0"),
+    "synth-bad-json": ("synth", "{", 2, "SceneConfig: invalid JSON"),
+    "synth-not-utf8": ("synth", b"\x80\x81", 2, "SceneConfig: invalid JSON"),
+    "eval-header-no-model": ("eval-header", lambda h: h.pop("model"), 2, "header: missing key 'model'"),
+    "eval-header-nested-missing": ("eval-header", lambda h: h["optimizer"].pop("lr"), 2, "header.optimizer: missing key 'lr'"),
+    "eval-header-unknown-key": ("eval-header", lambda h: h.update(note="x"), 2, "header: unknown key(s) 'note'"),
+    "convert-fraction-0": ("convert", ["--fraction", "0"], 1, "argument --fraction: must be in (0, 1]"),
+    "convert-fraction-2": ("convert", ["--fraction", "2"], 1, "argument --fraction: must be in (0, 1]"),
+    "convert-fraction-nan": ("convert", ["--fraction", "nan"], 1, "argument --fraction: must be in (0, 1]"),
+    "convert-width-0": ("convert", ["--width", "0"], 1, "argument --width: must be >= 1"),
+    "convert-height-str": ("convert", ["--height", "tall"], 1, "argument --height: invalid int value"),
+    "eval-fraction-1": ("eval", ["--fraction", "1"], 1, "argument --fraction: must be in (0, 1)"),
+    "eval-negative-seed": ("eval", ["--seed", "-1"], 1, "argument --seed: must be >= 0"),
+    "robustness-fraction-0": ("robustness", ["--fraction", "0"], 1, "argument --fraction: must be in (0, 1)"),
+}
 
-    def test_fetch_empty_manifest_is_data_error(self, tmp_path):
-        manifest = tmp_path / "manifest.json"
-        manifest.write_text(json.dumps({"files": []}))
-        assert main(["fetch", "--manifest", str(manifest), "--out", str(tmp_path / "o")]) == 2
+
+@pytest.mark.parametrize("command, payload, code, fragment", _BAD_INPUTS.values(), ids=_BAD_INPUTS.keys())
+def test_bad_input_is_one_line_error(command, payload, code, fragment, request, dataset_dir, tmp_path, capsys):
+    data = ["--data", str(dataset_dir), "--out", str(tmp_path / "out")]
+    if command in ("train", "synth"):
+        path = tmp_path / "config.json"
+        path.write_bytes(payload if isinstance(payload, bytes) else payload.encode())
+        argv = [command, "--config", str(path), *(data if command == "train" else data[2:])]
+    elif command == "eval-header":
+        head, _, rest = request.getfixturevalue("trained").read_bytes().partition(b"\n")
+        header = json.loads(head)
+        payload(header)
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(json.dumps(header).encode() + b"\n" + rest)
+        argv = ["eval", "--ckpt", str(path), *data]
+    elif command == "convert":
+        events, poses = (str(dataset_dir / name) for name in ("events.txt", "groundtruth.txt"))
+        argv = ["convert", "--events", events, "--poses", poses, "--out", str(tmp_path / "img"), *payload]
+    else:  # eval / robustness argument ranges
+        argv = [command, "--ckpt", str(tmp_path / "model.ckpt"), *data, *payload]
+    try:
+        got = main(argv)
+    except SystemExit as exc:
+        got = exc.code
+    err = capsys.readouterr().err
+    assert got == code
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and re.match(r"evpose( \w+)?: ", err)
+    assert fragment in err

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from evpose import autodiff as ad
+from evpose import config
 from evpose import model as m
 from evpose.errors import DegenerateOutputError, ShapeError
 from evpose.event_image import EventImage
@@ -52,13 +54,23 @@ class TestModelConfig:
         with pytest.raises(ValueError):
             m.ModelConfig(feature_dim=15)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [dict(lstm_hidden=0), dict(fc_hidden=0), dict(input_h=0), dict(feature_dim=0),
+         dict(conv_blocks=((4, 3, 0, 2),)), dict(conv_blocks=((4, 3, 1),)), dict(input_w=9)],
+        ids=["lstm-hidden", "fc-hidden", "input-h", "feature-dim", "stride", "short-block", "pool-tiling"],
+    )
+    def test_sizes_checked_at_construction(self, bad):
+        with pytest.raises(ValueError):
+            dataclasses.replace(m.toy_config(), **bad)
+
     def test_seq_len(self):
         assert m.toy_config().seq_len == 4
         assert m.desk_config().seq_len == 16
 
     def test_dict_round_trip(self):
         cfg = m.toy_config()
-        assert m.ModelConfig.from_dict(cfg.to_dict()) == cfg
+        assert config.from_dict(m.ModelConfig, dataclasses.asdict(cfg)) == cfg
 
     def test_manifest_shapes_consistent(self):
         cfg = m.toy_config()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from evpose import autodiff as ad
-from evpose import evaluation, pipeline
+from evpose import config, evaluation, pipeline
 from evpose import model as m
 from evpose.errors import CheckpointError, InsufficientDataError
 from evpose.event_image import image_from_window
@@ -36,7 +36,7 @@ def make_windows(n, rng, h=8, w=8):
 class TestTrainConfig:
     def test_json_round_trip(self):
         cfg = toy_train_config(epochs=7, split="novel", split_fraction=0.6)
-        again = pipeline.TrainConfig.from_json(cfg.to_json())
+        again = config.from_json(pipeline.TrainConfig, config.to_json(cfg))
         assert again == cfg
 
     def test_validation(self):
@@ -46,6 +46,10 @@ class TestTrainConfig:
             toy_train_config(split="sideways")
         with pytest.raises(ValueError):
             toy_train_config(split_fraction=1.5)
+        for bad in (dict(seed=-1), dict(lr=-1e-3), dict(lr=float("nan")), dict(weight_decay=-1e-6),
+                    dict(momentum=1.0), dict(momentum=-0.1)):
+            with pytest.raises(ValueError):
+                toy_train_config(**bad)
 
     def test_paper_defaults(self):
         cfg = pipeline.TrainConfig()

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from evpose import synth
+from evpose import config, synth
 from evpose.errors import DataError
 from evpose.events import parse_events, parse_poses, window_events
 
@@ -140,10 +140,12 @@ class TestGenerateDataset:
             single_segment_scene([], duration=1.0)
         with pytest.raises(DataError):
             single_segment_scene([((0, 0, 1), (1, 0, 1))], duration=-1.0)
+        with pytest.raises(DataError):
+            single_segment_scene([((0, 0, 1), (1, 0, 1))], seed=-1)
 
     def test_json_round_trip(self):
         cfg = synth.default_scene()
-        again = synth.SceneConfig.from_json(cfg.to_json())
+        again = config.from_json(synth.SceneConfig, config.to_json(cfg))
         assert again == cfg
 
 
