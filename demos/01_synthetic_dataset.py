@@ -36,7 +36,8 @@ print(f"wrote {config_path}")
 events_text, poses_text = synth.generate_dataset(scene)
 events = parse_events(events_text, scene.sensor_w, scene.sensor_h)
 poses = parse_poses(poses_text)
-print(f"generated {len(events)} events across {len(poses)} groundtruth poses")
+print(f"generated {len(events)} events across {len(poses)} groundtruth poses; "
+      f"parsed into one {events.dtype.itemsize}-byte-per-event array with fields {events.dtype.names}")
 
 # Windows pair every inter-pose interval with the pose at its end.
 windows, skipped = window_events(events, poses)
@@ -49,9 +50,7 @@ print(f"{len(windows)} windows ({skipped} intervals had no events); "
 # the event image, which only shows pixels that changed inside a window.
 pose = poses[20]
 mask = synth.render_edge_frame(scene, pose.p, pose.q)
-mask_image = build_image(
-    [], scene.sensor_h, scene.sensor_w
-)  # start from the 0.5 background
+mask_image = build_image(events[:0], scene.sensor_h, scene.sensor_w)  # no events: the 0.5 background
 mask_image.pixels[mask] = 1.0
 write_pgm(mask_image, os.path.join(OUT, "edge_mask.pgm"))
 

@@ -27,11 +27,14 @@ events_text, poses_text = synth.generate_dataset(scene)
 events = parse_events(events_text, scene.sensor_w, scene.sensor_h)
 poses = parse_poses(poses_text)
 print(f"parsed {len(events)} events, {len(poses)} poses")
-print(f"first event: {events[0]}")
+# One structured array per stream: columns t (s), x, y (pixels), rho (+-1).
+first = events[0]
+print(f"first event: t={first['t']:.6f} x={first['x']} y={first['y']} rho={first['rho']:+d}")
 print(f"first pose: t={poses[0].t:.4f} p={poses[0].p.round(3)} q={poses[0].q.round(3)}")
 
 windows, skipped = window_events(events, poses)
-print(f"{len(windows)} windows, {skipped} empty intervals dropped")
+print(f"{len(windows)} windows, {skipped} empty intervals dropped; each window's events "
+      f"are a slice (a view) of the parsed array: {windows[0].events.base is events}")
 
 w = windows[10]
 print(f"window {w.sequence_index}: {len(w.events)} events in "

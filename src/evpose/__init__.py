@@ -32,7 +32,7 @@ from .evaluation import (
 )
 from .event_image import EventImage, build_image, image_from_window, select_fraction, write_pgm
 from .events import (
-    Event,
+    EVENT_DTYPE,
     EventWindow,
     PoseLabel,
     canonicalize_quaternion,

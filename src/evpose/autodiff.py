@@ -538,14 +538,18 @@ def sgd_step(
     """Classical momentum update, in place:
 
     g' = g + weight_decay * theta;  v = momentum * v + g';  theta -= lr * v
+
+    Every gradient is checked first, so a ShapeError or NumericError
+    leaves all parameters and velocities untouched.
     """
-    for p, v in zip(params, state.velocity):
-        g = grads[p]
+    gs = [grads[p] for p in params]
+    for p, g in zip(params, gs):
         if g.shape != p.data.shape:
             raise ShapeError(f"sgd_step: gradient shape {g.shape} vs parameter {p.data.shape}")
         # cheap gate: a finite sum implies all elements finite
         if not np.isfinite(g.sum()) and not np.isfinite(g).all():
             raise NumericError("non-finite gradient; optimizer step aborted")
+    for p, g, v in zip(params, gs, state.velocity):
         v *= state.momentum
         v += g
         if state.weight_decay != 0.0:

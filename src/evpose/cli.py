@@ -17,7 +17,7 @@ import sys
 
 from . import evaluation, pipeline, synth
 from .config import from_json
-from .errors import DataError, NumericError
+from .errors import DataError, NumericError, ParseError
 from .event_image import image_from_window, write_pgm
 from .events import parse_events, parse_poses, split_novel, split_random, window_events
 
@@ -46,11 +46,20 @@ _PIXELS = _ranged(int, lambda v: v >= 1, ">= 1")
 _SEED = _ranged(int, lambda v: v >= 0, ">= 0")
 
 
+def _read_text(path) -> str:
+    """The UTF-8 text of a data file; a byte that is not UTF-8 is a ParseError."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"not UTF-8 text ({exc.reason}) in {path}", line_no) from None
+
+
 def _load_windows(events_path, poses_path, sensor_w, sensor_h):
-    with open(events_path, "r", encoding="utf-8") as f:
-        events = parse_events(f, sensor_w, sensor_h)
-    with open(poses_path, "r", encoding="utf-8") as f:
-        poses = parse_poses(f)
+    events = parse_events(_read_text(events_path), sensor_w, sensor_h)
+    poses = parse_poses(_read_text(poses_path))
     return window_events(events, poses)
 
 

@@ -1,20 +1,21 @@
 """Ternary event images.
 
-A window of events is painted onto an h x w grid initialized to 0.5:
-pixels hit by a positive-polarity event become 1.0, negative become 0.0,
-and later events overwrite earlier ones at the same pixel.
+A window of events (an ``EVENT_DTYPE`` array) is painted onto an h x w
+grid initialized to 0.5: pixels hit by a positive-polarity event become
+1.0, negative become 0.0, and later events overwrite earlier ones at the
+same pixel. The painter finds the newest event of each pixel itself, so
+it never relies on the order numpy's fancy assignment writes repeated
+indices in.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 from .errors import BoundsError
-from .events import Event, EventWindow
+from .events import EventWindow
 
 
 @dataclass(eq=False)
@@ -28,30 +29,36 @@ class EventImage:
     fraction_used: float = 1.0
 
 
-def select_fraction(window: EventWindow, fraction: float) -> list[Event]:
-    """Return the most recent ceil(fraction * n) events, in ascending time order."""
+def select_fraction(window: EventWindow, fraction: float) -> np.ndarray:
+    """Return the most recent ceil(fraction * n) events, in ascending time
+    order, as a view of the window's events."""
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-    events = window.events
-    if fraction == 1.0:
-        return list(events)
-    k = math.ceil(fraction * len(events))
-    return list(events[len(events) - k :])
+    n = len(window.events)
+    return window.events[n - math.ceil(fraction * n) :]
 
 
 def build_image(
-    events: Sequence[Event],
+    events: np.ndarray,
     h: int,
     w: int,
     source_window: int = -1,
     fraction_used: float = 1.0,
 ) -> EventImage:
-    """Paint events (assumed ascending by time) onto a fresh 0.5 grid."""
+    """Paint ``EVENT_DTYPE`` events (assumed ascending by time) onto a fresh 0.5 grid."""
+    x = events["x"].astype(np.intp)  # intp: y * w overflows uint16
+    y = events["y"].astype(np.intp)
+    if x.size and (x.max() >= w or y.max() >= h):
+        i = np.flatnonzero((x >= w) | (y >= h))[0]
+        raise BoundsError(f"event at ({x[i]}, {y[i]}) outside {w}x{h} image")
+    flat = y * w + x
+    order = np.argsort(flat, kind="stable")  # a pixel's events stay in time order
+    flat = flat[order]
+    newest = np.empty(flat.size, dtype=bool)  # the last event of each pixel's run
+    newest[:-1] = flat[1:] != flat[:-1]
+    newest[-1:] = True
     pixels = np.full((h, w), 0.5, dtype=np.float64)
-    for e in events:
-        if not (0 <= e.x < w and 0 <= e.y < h):
-            raise BoundsError(f"event at ({e.x}, {e.y}) outside {w}x{h} image")
-        pixels[e.y, e.x] = 1.0 if e.rho > 0 else 0.0
+    pixels.reshape(-1)[flat[newest]] = events["rho"][order[newest]] > 0
     return EventImage(pixels, h, w, source_window, fraction_used)
 
 

@@ -8,6 +8,15 @@ Text formats:
 * groundtruth file: one pose per line, ``t px py pz qx qy qz qw`` with
   strictly increasing timestamps.
 
+A parsed event stream is one numpy structured array of ``EVENT_DTYPE``
+(13 bytes per event). A window is a slice of it: a view, unless the stream
+had to be sorted by time first. Events are read by numpy's C reader when
+the text is plain ASCII; anything that reader refuses, and any value the
+vectorised checks reject, sends the whole text through the per-line
+parser, which raises the error of the first bad line (with its line
+number) or accepts the spellings Python's ``float``/``int`` accept
+(``1_0``, non-ASCII digits) with the same values.
+
 Quaternions are normalized to unit length and sign-canonicalized (qw >= 0)
 at ingestion so that Euclidean quaternion distances live on a single
 hemisphere of the double cover.
@@ -15,11 +24,11 @@ hemisphere of the double cover.
 
 from __future__ import annotations
 
+import io
 import math
 import warnings
-from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -31,14 +40,14 @@ from .errors import (
     ParseError,
 )
 
+EVENT_DTYPE = np.dtype([("t", "<f8"), ("x", "<u2"), ("y", "<u2"), ("rho", "i1")])
+"""One asynchronous brightness-change record: time in seconds, pixel column
+and row, polarity -1 or +1. Packed, 13 bytes."""
 
-class Event(NamedTuple):
-    """One asynchronous brightness-change record."""
-
-    t: float
-    x: int
-    y: int
-    rho: int  # -1 or +1
+_MAX_SENSOR_SIDE = np.iinfo(np.uint16).max  # every coordinate < side fits in "x"/"y"
+# Line breaks of str.splitlines that np.loadtxt reads as field separators
+# inside one row (the non-ASCII ones never reach it).
+_SPLITLINES_ONLY_BREAKS = "\x0b\x0c\x1c\x1d\x1e"
 
 
 @dataclass(eq=False)
@@ -54,11 +63,13 @@ class PoseLabel:
 class EventWindow:
     """Events between two consecutive groundtruth timestamps.
 
-    The label is the pose recorded at the end of the interval; events are
-    sorted ascending by timestamp with file order preserved among ties.
+    The label is the pose recorded at the end of the interval. ``events``
+    is an ``EVENT_DTYPE`` array sorted ascending by timestamp with file
+    order preserved among ties; it is a slice of the stream's array, so
+    writing to it writes to the stream.
     """
 
-    events: list[Event]
+    events: np.ndarray
     label: PoseLabel
     sequence_index: int
 
@@ -91,23 +102,69 @@ def canonicalize_quaternion(q) -> np.ndarray:
     return q
 
 
-def _iter_lines(stream: str | Iterable[str]) -> Iterable[str]:
-    if isinstance(stream, str):
-        return stream.splitlines()
-    return stream
-
-
-def parse_events(stream: str | Iterable[str], sensor_w: int, sensor_h: int) -> list[Event]:
-    """Parse an events text stream; polarity 0/1 maps to rho -1/+1.
+def parse_events(text: str, sensor_w: int, sensor_h: int) -> np.ndarray:
+    """Parse an events text into an ``EVENT_DTYPE`` array; polarity 0/1
+    maps to rho -1/+1.
 
     Raises ParseError (with line number) for malformed lines and
-    BoundsError for coordinates outside the sensor. Non-monotone
-    timestamps are permitted but produce a warning.
+    BoundsError for coordinates outside the sensor or a sensor side above
+    65535. Non-monotone timestamps are permitted but produce a warning.
     """
-    events: list[Event] = []
-    non_monotone = 0
-    prev_t = None
-    for line_no, raw in enumerate(_iter_lines(stream), start=1):
+    if max(sensor_w, sensor_h) > _MAX_SENSOR_SIDE:
+        raise BoundsError(
+            f"sensor {sensor_w}x{sensor_h} exceeds the {_MAX_SENSOR_SIDE}-pixel side limit"
+        )
+    events = _read_events(text, sensor_w, sensor_h)
+    if events is None:
+        events = _parse_event_lines(text, sensor_w, sensor_h)
+    t = events["t"]
+    non_monotone = int(np.count_nonzero(t[1:] < t[:-1]))
+    if non_monotone:
+        warnings.warn(f"{non_monotone} event(s) with non-monotone timestamps", stacklevel=2)
+    return events
+
+
+def _read_events(text: str, sensor_w: int, sensor_h: int) -> np.ndarray | None:
+    """The events of ``text`` read by np.loadtxt, or None when the per-line
+    parser must decide: non-ASCII text, a break np.loadtxt does not see, a
+    read error or warning, or a value outside the format's ranges."""
+    if not text.isascii() or any(c in text for c in _SPLITLINES_ONLY_BREAKS):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # "input contained no data"; int-via-float on numpy < 2
+            # Bytes: a StringIO would hold the text as 4 bytes per character.
+            # A value that does not fit its field (x = 70000, p = 300) is a
+            # read error, so nothing wraps around.
+            events = np.loadtxt(
+                io.BytesIO(text.encode("ascii")),
+                dtype=EVENT_DTYPE,
+                comments=None,
+                encoding="ascii",
+                ndmin=1,
+            )
+    except (ValueError, Warning):
+        return None
+    t, x, y, p = (events[name] for name in EVENT_DTYPE.names)  # "rho" holds p until the end
+    if len(events) and not (
+        t.min() >= 0.0  # False for NaN
+        and np.isfinite(t.max())
+        and p.min() >= 0
+        and p.max() <= 1
+        and x.max() < sensor_w
+        and y.max() < sensor_h
+    ):
+        return None
+    p *= 2
+    p -= 1
+    return events
+
+
+def _parse_event_lines(text: str, sensor_w: int, sensor_h: int) -> np.ndarray:
+    """Line-by-line parse with Python's ``float``/``int``; raises the error
+    of the first bad line."""
+    ts, xs, ys, rhos = [], [], [], []
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -129,16 +186,16 @@ def parse_events(stream: str | Iterable[str], sensor_w: int, sensor_h: int) -> l
             raise BoundsError(
                 f"line {line_no}: event at ({x}, {y}) outside {sensor_w}x{sensor_h} sensor"
             )
-        if prev_t is not None and t < prev_t:
-            non_monotone += 1
-        prev_t = t
-        events.append(Event(t, x, y, 1 if p == 1 else -1))
-    if non_monotone:
-        warnings.warn(f"{non_monotone} event(s) with non-monotone timestamps", stacklevel=2)
+        ts.append(t)
+        xs.append(x)
+        ys.append(y)
+        rhos.append(1 if p == 1 else -1)
+    events = np.empty(len(ts), EVENT_DTYPE)
+    events["t"], events["x"], events["y"], events["rho"] = ts, xs, ys, rhos
     return events
 
 
-def parse_poses(stream: str | Iterable[str]) -> list[PoseLabel]:
+def parse_poses(text: str) -> list[PoseLabel]:
     """Parse a groundtruth pose stream into canonicalized PoseLabels.
 
     Raises ParseError (with line number) for malformed lines and non-finite
@@ -148,7 +205,7 @@ def parse_poses(stream: str | Iterable[str]) -> list[PoseLabel]:
     """
     poses: list[PoseLabel] = []
     prev_t = None
-    for line_no, raw in enumerate(_iter_lines(stream), start=1):
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -175,10 +232,15 @@ def parse_poses(stream: str | Iterable[str]) -> list[PoseLabel]:
     return poses
 
 
-def format_events(events: Sequence[Event]) -> str:
-    """Serialize events back to the text format (round-trips exactly)."""
-    lines = [f"{e.t!r} {e.x} {e.y} {1 if e.rho > 0 else 0}" for e in events]
-    return "".join(line + "\n" for line in lines)
+def format_events(events: np.ndarray) -> str:
+    """Serialize an ``EVENT_DTYPE`` array back to the text format (round-trips exactly)."""
+    columns = (
+        events["t"].tolist(),
+        events["x"].tolist(),
+        events["y"].tolist(),
+        (events["rho"] > 0).astype(np.int8).tolist(),
+    )
+    return "".join(f"{t!r} {x} {y} {p}\n" for t, x, y, p in zip(*columns))
 
 
 def format_poses(poses: Sequence[PoseLabel]) -> str:
@@ -191,34 +253,35 @@ def format_poses(poses: Sequence[PoseLabel]) -> str:
 
 
 def window_events(
-    events: Sequence[Event], poses: Sequence[PoseLabel]
+    events: np.ndarray, poses: Sequence[PoseLabel]
 ) -> tuple[list[EventWindow], int]:
-    """Group events into pose-labeled windows over (t_i, t_i+1] intervals.
+    """Group an ``EVENT_DTYPE`` stream into pose-labeled windows over
+    (t_i, t_i+1] intervals.
 
     Each window is labeled with the pose at the interval end. Events at or
     before the first pose, or after the last, are discarded. Intervals with
     no events produce no window; their count is returned alongside the
-    windows.
+    windows. Windows are views of ``events``; a non-monotone stream is
+    first copied once in stable time order (ties keep file order).
     """
     if len(poses) < 2:
         raise InsufficientDataError(
             f"need at least 2 groundtruth poses to form windows, got {len(poses)}"
         )
-    ts = [p.t for p in poses]
-    buckets: list[list[Event]] = [[] for _ in range(len(poses) - 1)]
-    for e in events:
-        if e.t <= ts[0] or e.t > ts[-1]:
-            continue
-        i = bisect_left(ts, e.t)  # first i with ts[i] >= e.t, so e lies in (ts[i-1], ts[i]]
-        buckets[i - 1].append(e)
+    t = events["t"]
+    if np.any(t[1:] < t[:-1]):
+        events = events[np.argsort(t, kind="stable")]
+        t = events["t"]
+    # With t ascending, the events in (t_i, t_i+1] are those from the count
+    # at or before t_i up to the count at or before t_i+1.
+    bounds = np.searchsorted(t, [p.t for p in poses], side="right").tolist()
     windows: list[EventWindow] = []
     skipped_empty = 0
-    for i, bucket in enumerate(buckets):
-        if not bucket:
+    for i, (start, stop) in enumerate(zip(bounds, bounds[1:])):
+        if start == stop:
             skipped_empty += 1
             continue
-        bucket.sort(key=lambda ev: ev.t)  # stable: ties keep file order
-        windows.append(EventWindow(bucket, poses[i + 1], i))
+        windows.append(EventWindow(events[start:stop], poses[i + 1], i))
     return windows, skipped_empty
 
 

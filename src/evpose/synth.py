@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .events import Event, PoseLabel, canonicalize_quaternion, format_events, format_poses
+from .events import EVENT_DTYPE, PoseLabel, canonicalize_quaternion, format_events, format_poses
 
 _Z_NEAR = 1e-3
 
@@ -55,7 +55,7 @@ class SceneConfig:
             raise DataError(f"duration must be positive, got {self.duration}")
         if len(self.segments) == 0:
             raise DataError("scene needs at least one segment")
-        if self.sensor_w < 1 or self.sensor_h < 1 or self.focal <= 0.0:
+        if not (1 <= self.sensor_w <= 65535 and 1 <= self.sensor_h <= 65535) or self.focal <= 0.0:
             raise DataError("invalid sensor geometry")
         if self.seed < 0:
             raise DataError(f"seed must be >= 0, got {self.seed}")
@@ -215,20 +215,18 @@ def generate_dataset(config: SceneConfig) -> tuple[str, str]:
         masks.append(render_edge_frame(config, p, q))
 
     rng = np.random.default_rng(config.seed)
-    events: list[Event] = []
+    chunks = [np.empty(0, EVENT_DTYPE)]  # np.concatenate needs at least one array
     for i in range(1, n_samples):
         changed = masks[i] != masks[i - 1]
         ys, xs = np.nonzero(changed)  # row-major scan order
         if ys.size == 0:
             continue
-        offsets = rng.random(ys.size)
-        interval = []
-        for y, x, u in zip(ys.tolist(), xs.tolist(), offsets.tolist()):
-            t = times[i] - u * dt  # lies in (times[i-1], times[i]]
-            rho = 1 if masks[i][y, x] else -1
-            interval.append(Event(t, x, y, rho))
-        interval.sort(key=lambda e: e.t)
-        events.extend(interval)
+        interval = np.empty(ys.size, EVENT_DTYPE)
+        interval["t"] = times[i] - rng.random(ys.size) * dt  # lies in (times[i-1], times[i]]
+        interval["x"], interval["y"] = xs, ys
+        interval["rho"] = np.where(masks[i][ys, xs], 1, -1)
+        chunks.append(interval[np.argsort(interval["t"], kind="stable")])
+    events = np.concatenate(chunks)
     return format_events(events), format_poses(poses)
 
 

@@ -6,8 +6,11 @@ algebra.
 """
 
 import math
+import warnings
 
 import numpy as np
+
+from evpose.errors import BoundsError, ParseError
 
 
 def lstm_step_scalar(x, h, c, layer):
@@ -53,17 +56,55 @@ def lstm_sequence_scalar(xs, layer):
     return hs, cs
 
 
+def parse_events_lines(text, sensor_w, sensor_h):
+    """The per-line events parser: a list of (t, x, y, rho) tuples, the
+    error of the first bad line, and a warning for non-monotone timestamps."""
+    events = []
+    non_monotone = 0
+    prev_t = None
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 4:
+            raise ParseError(f"expected 't x y p', got {line!r}", line_no)
+        try:
+            t = float(parts[0])
+            x = int(parts[1])
+            y = int(parts[2])
+            p = int(parts[3])
+        except ValueError:
+            raise ParseError(f"could not parse fields in {line!r}", line_no) from None
+        if not math.isfinite(t) or t < 0.0:
+            raise ParseError(f"bad timestamp {parts[0]!r}", line_no)
+        if p not in (0, 1):
+            raise ParseError(f"polarity must be 0 or 1, got {parts[3]!r}", line_no)
+        if not (0 <= x < sensor_w and 0 <= y < sensor_h):
+            raise BoundsError(
+                f"line {line_no}: event at ({x}, {y}) outside {sensor_w}x{sensor_h} sensor"
+            )
+        if prev_t is not None and t < prev_t:
+            non_monotone += 1
+        prev_t = t
+        events.append((t, x, y, 1 if p == 1 else -1))
+    if non_monotone:
+        warnings.warn(f"{non_monotone} event(s) with non-monotone timestamps", stacklevel=2)
+    return events
+
+
 def latest_event_image(events, h, w):
     """Per pixel, scan all events for the latest one hitting it."""
+    rows = list(zip(events["x"].tolist(), events["y"].tolist(), events["rho"].tolist()))
     img = np.full((h, w), 0.5)
     for y in range(h):
         for x in range(w):
             latest = None
-            for e in events:
-                if e.x == x and e.y == y:
-                    latest = e
+            for ex, ey, rho in rows:
+                if ex == x and ey == y:
+                    latest = rho
             if latest is not None:
-                img[y, x] = 1.0 if latest.rho > 0 else 0.0
+                img[y, x] = 1.0 if latest > 0 else 0.0
     return img
 
 

@@ -18,7 +18,7 @@ from evpose import autodiff as ad
 from evpose import evaluation, model, pipeline, synth
 from evpose.event_image import build_image, select_fraction
 from evpose.events import (
-    Event,
+    EVENT_DTYPE,
     EventWindow,
     PoseLabel,
     parse_events,
@@ -70,7 +70,7 @@ def test_criterion_1_gradient_correctness():
     cfg = model.toy_config()
     params = model.init_params(cfg, seed=0)
     image = build_image(
-        [Event(0.001, 2, 3, 1), Event(0.002, 5, 1, -1), Event(0.003, 6, 6, 1)], 8, 8
+        np.array([(0.001, 2, 3, 1), (0.002, 5, 1, -1), (0.003, 6, 6, 1)], EVENT_DTYPE), 8, 8
     )
     label = PoseLabel(0.0, np.array([0.1, -0.2, 0.3]), np.array([0.0, 0.0, 0.0, 1.0]))
 
@@ -122,10 +122,11 @@ def test_criterion_3_event_image_matches_brute_force():
         w = int(rng.integers(4, 14))
         n = int(rng.integers(0, 50))
         ts = np.sort(rng.random(n))
-        events = [
-            Event(float(t), int(rng.integers(0, w)), int(rng.integers(0, h)), int(rng.choice([-1, 1])))
-            for t in ts
-        ]
+        events = np.array(
+            [(float(t), int(rng.integers(0, w)), int(rng.integers(0, h)), int(rng.choice([-1, 1])))
+             for t in ts],
+            EVENT_DTYPE,
+        )
         image = build_image(events, h, w)
         assert np.array_equal(image.pixels, latest_event_image(events, h, w)), f"trial {trial}"
         assert set(np.unique(image.pixels)) <= {0.0, 0.5, 1.0}
@@ -173,7 +174,7 @@ def test_criterion_5_end_to_end_overfit(overfit_run):
 def test_criterion_6_split_contracts():
     def make_windows(n):
         label = PoseLabel(1.0, np.zeros(3), np.array([0.0, 0.0, 0.0, 1.0]))
-        return [EventWindow([Event(0.5, 0, 0, 1)], label, i) for i in range(n)]
+        return [EventWindow(np.array([(0.5, 0, 0, 1)], EVENT_DTYPE), label, i) for i in range(n)]
 
     for n in (3, 10, 101):
         windows = make_windows(n)
@@ -211,7 +212,7 @@ def test_criterion_7_robustness_harness(overfit_run):
         for fraction in fractions:
             selected = select_fraction(window, fraction)
             if previous is not None:
-                assert previous == selected[len(selected) - len(previous) :]
+                assert previous.tobytes() == selected[len(selected) - len(previous) :].tobytes()
             previous = selected
     print(
         "\nPASS criterion 7: robustness table has 10 rows, fraction-1.0 row "

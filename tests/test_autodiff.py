@@ -337,3 +337,16 @@ class TestSgd:
         state = ad.make_opt_state([p], lr=0.1, momentum=0.0, weight_decay=0.0)
         with pytest.raises(NumericError):
             ad.sgd_step([p], {p: np.array([1.0, np.nan, 0.0])}, state)
+
+    def test_non_finite_last_gradient_leaves_every_tensor_untouched(self):
+        rng = np.random.default_rng(3)
+        params = [ad.parameter(rng.standard_normal(shape)) for shape in ((3,), (2, 2), (4,))]
+        state = ad.make_opt_state(params, lr=0.1, momentum=0.9, weight_decay=1e-3)
+        ad.sgd_step(params, {p: np.ones(p.data.shape) for p in params}, state)  # non-zero velocities
+        before = [p.data.copy() for p in params] + [v.copy() for v in state.velocity]
+        grads = {p: np.ones(p.data.shape) for p in params}
+        grads[params[-1]] = np.array([1.0, 2.0, np.nan, 0.0])
+        with pytest.raises(NumericError):
+            ad.sgd_step(params, grads, state)
+        after = [p.data for p in params] + state.velocity
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(after, before))

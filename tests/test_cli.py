@@ -1,11 +1,17 @@
+import contextlib
 import copy
 import dataclasses
+import io
 import json
 import os
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evpose import config, pipeline, synth
 from evpose import model as m
@@ -223,7 +229,8 @@ def _edited(base, path, value=_DROP):
 
 
 # (command, payload, exit code, fragment of the message). A train/synth payload
-# is the config file's content, an eval-header payload edits a trained
+# is the config file's content, a convert-events/convert-poses payload the
+# bytes of that data file, an eval-header payload edits a trained
 # checkpoint's header, and an argument-range payload is extra arguments.
 _BAD_INPUTS = {
     "train-unknown-key": ("train", _edited(_TRAIN, ["learning_rate"], 0.1), 2, "unknown key(s) 'learning_rate'"),
@@ -257,6 +264,8 @@ _BAD_INPUTS = {
     "eval-header-no-model": ("eval-header", lambda h: h.pop("model"), 2, "header: missing key 'model'"),
     "eval-header-nested-missing": ("eval-header", lambda h: h["optimizer"].pop("lr"), 2, "header.optimizer: missing key 'lr'"),
     "eval-header-unknown-key": ("eval-header", lambda h: h.update(note="x"), 2, "header: unknown key(s) 'note'"),
+    "convert-events-not-utf8": ("convert-events", b"0.1 1 1 1\n0.2 2 \xff 1\n", 2, "line 2: not UTF-8 text"),
+    "convert-poses-not-utf8": ("convert-poses", b"0.0 0 0 0 0 0 0 1\n\n\x80 0 0 0 0 0 0 1\n", 2, "line 3: not UTF-8 text"),
     "convert-fraction-0": ("convert", ["--fraction", "0"], 1, "argument --fraction: must be in (0, 1]"),
     "convert-fraction-2": ("convert", ["--fraction", "2"], 1, "argument --fraction: must be in (0, 1]"),
     "convert-fraction-nan": ("convert", ["--fraction", "nan"], 1, "argument --fraction: must be in (0, 1]"),
@@ -282,8 +291,13 @@ def test_bad_input_is_one_line_error(command, payload, code, fragment, request, 
         path = tmp_path / "bad.ckpt"
         path.write_bytes(json.dumps(header).encode() + b"\n" + rest)
         argv = ["eval", "--ckpt", str(path), *data]
-    elif command == "convert":
+    elif command.startswith("convert"):
         events, poses = (str(dataset_dir / name) for name in ("events.txt", "groundtruth.txt"))
+        if command != "convert":
+            path = tmp_path / "data.txt"
+            path.write_bytes(payload)
+            events, poses = (str(path), poses) if command == "convert-events" else (events, str(path))
+            payload = ["--width", "64", "--height", "64"]
         argv = ["convert", "--events", events, "--poses", poses, "--out", str(tmp_path / "img"), *payload]
     else:  # eval / robustness argument ranges
         argv = [command, "--ckpt", str(tmp_path / "model.ckpt"), *data, *payload]
@@ -296,3 +310,66 @@ def test_bad_input_is_one_line_error(command, payload, code, fragment, request, 
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1 and re.match(r"evpose( \w+)?: ", err)
     assert fragment in err
+
+
+@pytest.fixture(scope="module")
+def toy_files(tmp_path_factory):
+    """Bytes of a tiny 8x8 dataset, a toy train config and a checkpoint trained on them."""
+    root = tmp_path_factory.mktemp("toy")
+    scene = dataclasses.replace(synth.default_scene(seed=5, duration=0.2), sensor_w=8, sensor_h=8, focal=9.0)
+    synth.write_dataset(scene, root)
+    (root / "train.json").write_text(config.to_json(pipeline.TrainConfig(model=m.toy_config(), epochs=1)))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["train", "--data", str(root), "--config", str(root / "train.json"),
+                     "--out", str(root / "model.ckpt")]) == 0
+    return {name: (root / name).read_bytes()
+            for name in ("events.txt", "groundtruth.txt", "train.json", "model.ckpt")}
+
+
+# Tokens written into a file. Digits go into the data files only: in a config
+# or a checkpoint header a digit can make a valid model too large to train here.
+_TOKENS = [b"\xff", b"\x80", b"\n", b"\r", b"\r\n", b"\x0b", b"\xc2\x85", b"\xe2\x80\xa8", b"-", b"+",
+           b" ", b"inf", b"1e999", b"nan", b"#", b"{", b"}", b",", b'"', b"null", b"true"]
+_DIGITS = [b"0", b"7", b"9"]
+# The commands that read each file.
+_READERS = {"events.txt": ("convert", "train", "eval"), "groundtruth.txt": ("convert", "train", "eval"),
+            "train.json": ("train",), "model.ckpt": ("eval",)}
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(data=st.data())
+def test_mutated_files_through_main_exit_with_a_code(toy_files, data):
+    name = data.draw(st.sampled_from(sorted(_READERS)))
+    tokens = _TOKENS + (_DIGITS if name.endswith(".txt") else [])
+    content = toy_files[name]
+    for _ in range(data.draw(st.integers(1, 3))):
+        at = data.draw(st.integers(0, len(content)))
+        kind = data.draw(st.sampled_from(["insert", "replace", "delete", "truncate"]))
+        token = data.draw(st.sampled_from(tokens))
+        if kind == "insert":
+            content = content[:at] + token + content[at:]
+        elif kind == "replace":
+            content = content[:at] + token + content[at + len(token):]
+        elif kind == "delete":
+            content = content[:at] + content[at + data.draw(st.integers(1, 3)):]
+        else:
+            content = content[:at]
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for file_name, original in toy_files.items():
+            (root / file_name).write_bytes(content if file_name == name else original)
+        argvs = {
+            "convert": ["convert", "--events", str(root / "events.txt"), "--poses", str(root / "groundtruth.txt"),
+                        "--out", str(root / "img"), "--width", "8", "--height", "8"],
+            "train": ["train", "--data", tmp, "--config", str(root / "train.json"), "--out", str(root / "new.ckpt")],
+            "eval": ["eval", "--ckpt", str(root / "model.ckpt"), "--data", tmp, "--out", str(root / "report.json")],
+        }
+        for command in _READERS[name]:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argvs[command])
+                except SystemExit as exc:
+                    code = exc.code
+            assert code in (0, 1, 2, 3), (command, code)
+            assert "Traceback" not in err.getvalue()

@@ -8,7 +8,7 @@ import pytest
 
 from evpose import evaluation as ev
 from evpose import model as m
-from evpose.events import Event, EventWindow, PoseLabel
+from evpose.events import EVENT_DTYPE, EventWindow, PoseLabel
 from evpose.model import PosePrediction
 from oracles import rotation_angle_deg
 
@@ -132,10 +132,11 @@ class TestSummarize:
 def make_windows(n, rng, h=8, w=8):
     windows = []
     for i in range(n):
-        events = [
-            Event(0.005 * i + 0.001 + 0.0001 * j, int(rng.integers(0, w)), int(rng.integers(0, h)), 1)
-            for j in range(int(rng.integers(1, 12)))
-        ]
+        events = np.array(
+            [(0.005 * i + 0.001 + 0.0001 * j, int(rng.integers(0, w)), int(rng.integers(0, h)), 1)
+             for j in range(int(rng.integers(1, 12)))],
+            EVENT_DTYPE,
+        )
         q = random_unit_quat(rng)
         if q[3] < 0:
             q = -q

@@ -3,43 +3,45 @@ import pytest
 
 from evpose.errors import BoundsError
 from evpose.event_image import build_image, image_from_window, select_fraction, to_pgm
-from evpose.events import Event, EventWindow, PoseLabel
+from evpose.events import EVENT_DTYPE, EventWindow, PoseLabel
 from oracles import latest_event_image as latest_event_oracle
 
 
-def make_window(events):
+def events(*rows):
+    return np.array(list(rows), dtype=EVENT_DTYPE)
+
+
+def make_window(window_events):
     label = PoseLabel(1.0, np.zeros(3), np.array([0.0, 0.0, 0.0, 1.0]))
-    return EventWindow(list(events), label, 0)
+    return EventWindow(window_events, label, 0)
 
 
 def random_window(rng, n_events, h=16, w=16):
     ts = np.sort(rng.random(n_events))
-    events = [
-        Event(float(t), int(rng.integers(0, w)), int(rng.integers(0, h)), int(rng.choice([-1, 1])))
-        for t in ts
-    ]
-    return make_window(events)
+    return make_window(events(
+        *((float(t), int(rng.integers(0, w)), int(rng.integers(0, h)), int(rng.choice([-1, 1])))
+          for t in ts)
+    ))
 
 
 class TestBuildImage:
     def test_single_positive_event(self):
-        img = build_image([Event(0.0, 3, 5, 1)], 8, 8)
+        img = build_image(events((0.0, 3, 5, 1)), 8, 8)
         assert img.pixels[5, 3] == 1.0
         others = np.delete(img.pixels.reshape(-1), 5 * 8 + 3)
         assert np.all(others == 0.5)
 
     def test_empty_events_all_background(self):
-        img = build_image([], 4, 6)
+        img = build_image(events(), 4, 6)
         assert img.pixels.shape == (4, 6)
         assert np.all(img.pixels == 0.5)
 
     def test_last_write_wins(self):
-        events = [Event(0.001, 2, 2, 1), Event(0.002, 2, 2, -1)]
-        assert build_image(events, 8, 8).pixels[2, 2] == 0.0
+        assert build_image(events((0.001, 2, 2, 1), (0.002, 2, 2, -1)), 8, 8).pixels[2, 2] == 0.0
 
     def test_out_of_bounds(self):
         with pytest.raises(BoundsError):
-            build_image([Event(0.0, 9, 0, 1)], 8, 8)
+            build_image(events((0.0, 9, 0, 1)), 8, 8)
 
     def test_value_set(self):
         rng = np.random.default_rng(0)
@@ -61,26 +63,26 @@ class TestBuildImage:
         for _ in range(50):
             window = random_window(rng, int(rng.integers(0, 80)))
             img = build_image(window.events, 16, 16)
-            distinct = {(e.x, e.y) for e in window.events}
+            distinct = set(zip(window.events["x"].tolist(), window.events["y"].tolist()))
             assert np.count_nonzero(img.pixels != 0.5) <= len(distinct)
 
 
 class TestSelectFraction:
     def test_takes_latest_events(self):
-        window = make_window([Event(0.1 * i, i, i, 1) for i in range(10)])
+        window = make_window(events(*((0.1 * i, i, i, 1) for i in range(10))))
         selected = select_fraction(window, 0.3)
-        assert [e.x for e in selected] == [7, 8, 9]
+        assert selected["x"].tolist() == [7, 8, 9]
 
     def test_full_fraction_identity(self):
-        window = make_window([Event(0.1 * i, i, i, 1) for i in range(5)])
-        assert select_fraction(window, 1.0) == window.events
+        window = make_window(events(*((0.1 * i, i, i, 1) for i in range(5))))
+        assert select_fraction(window, 1.0).tobytes() == window.events.tobytes()
 
     def test_ceil_rule(self):
-        window = make_window([Event(0.1 * i, i, i, 1) for i in range(7)])
+        window = make_window(events(*((0.1 * i, i, i, 1) for i in range(7))))
         assert len(select_fraction(window, 0.5)) == 4  # ceil(3.5)
 
     def test_fraction_out_of_range(self):
-        window = make_window([Event(0.0, 0, 0, 1)])
+        window = make_window(events((0.0, 0, 0, 1)))
         for fraction in (0.0, -0.5, 1.2):
             with pytest.raises(ValueError):
                 select_fraction(window, fraction)
@@ -92,16 +94,16 @@ class TestSelectFraction:
         for f1, f2 in zip(fractions, fractions[1:]):
             a = select_fraction(window, f1)
             b = select_fraction(window, f2)
-            assert a == b[len(b) - len(a) :]
+            assert a.tobytes() == b[len(b) - len(a) :].tobytes()
 
     def test_nonempty_for_any_positive_fraction(self):
-        window = make_window([Event(0.0, 0, 0, 1)])
+        window = make_window(events((0.0, 0, 0, 1)))
         assert len(select_fraction(window, 0.01)) == 1
 
 
 class TestPgm:
     def test_levels_and_header(self):
-        img = build_image([Event(0.0, 1, 0, 1), Event(0.1, 0, 1, -1)], 2, 2)
+        img = build_image(events((0.0, 1, 0, 1), (0.1, 0, 1, -1)), 2, 2)
         text = to_pgm(img)
         lines = text.splitlines()
         assert lines[0] == "P2"
@@ -113,7 +115,7 @@ class TestPgm:
 
 class TestImageFromWindow:
     def test_metadata_stamped(self):
-        window = make_window([Event(0.0, 1, 1, 1)])
+        window = make_window(events((0.0, 1, 1, 1)))
         window.sequence_index = 17
         img = image_from_window(window, 8, 8, fraction=0.5)
         assert img.source_window == 17

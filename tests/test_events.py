@@ -1,17 +1,21 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evpose.errors import (
     BoundsError,
+    DataError,
     InsufficientDataError,
     InvalidRotationError,
     OrderingError,
     ParseError,
 )
 from evpose.events import (
-    Event,
+    EVENT_DTYPE,
     canonicalize_quaternion,
     format_events,
     format_poses,
@@ -21,6 +25,11 @@ from evpose.events import (
     split_random,
     window_events,
 )
+from oracles import parse_events_lines
+
+
+def events(*rows):
+    return np.array(list(rows), dtype=EVENT_DTYPE)
 
 
 def make_poses(ts):
@@ -31,10 +40,11 @@ def make_poses(ts):
 class TestParseEvents:
     def test_format_definition(self):
         evs = parse_events("0.003811 96 133 0\n", 240, 180)
-        assert evs == [Event(0.003811, 96, 133, -1)]
+        assert evs.dtype == EVENT_DTYPE
+        assert evs.tolist() == [(0.003811, 96, 133, -1)]
 
     def test_positive_polarity(self):
-        assert parse_events("1.5 0 0 1\n", 240, 180) == [Event(1.5, 0, 0, 1)]
+        assert parse_events("1.5 0 0 1\n", 240, 180).tolist() == [(1.5, 0, 0, 1)]
 
     def test_out_of_range_coordinate(self):
         with pytest.raises(BoundsError):
@@ -70,7 +80,94 @@ class TestParseEvents:
             )
         text = "\n".join(lines) + "\n"
         evs = parse_events(text, 64, 64)
-        assert parse_events(format_events(evs), 64, 64) == evs
+        assert parse_events(format_events(evs), 64, 64).tobytes() == evs.tobytes()
+
+    def test_format_text(self):
+        evs = events((0.1, 3, 4, 1), (0.30000000000000004, 0, 63, -1))
+        assert format_events(evs) == "0.1 3 4 1\n0.30000000000000004 0 63 0\n"
+
+    def test_sensor_side_above_uint16_rejected(self):
+        with pytest.raises(BoundsError):
+            parse_events("0.1 1 2 1\n", 65536, 8)
+        assert len(parse_events("0.1 65534 2 1\n", 65535, 8)) == 1
+
+
+# Every break str.splitlines knows; all but "\n" and "\r" are field
+# separators to np.loadtxt.
+_LINE_BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+_SENSOR_W, _SENSOR_H = 8, 6
+_T_SPELLINGS = ["0", "-0.0", "+1.5", ".5", "1e-3", "1_0", "\u0661", "-0.5", "inf", "-inf", "nan", "1e999", "1,5", "#"]
+_XY_SPELLINGS = ["+1", "01", "-0", "1_0", "\u0662", "2.0", "-1", "8", "6", "65537", "99999999999999999999", "x"]
+_P_SPELLINGS = ["+1", "01", "-0", "1_0", "\u0661", "1.0", "2", "-1", "257", "True"]
+
+
+@st.composite
+def _event_texts(draw):
+    """Valid event lines with up to three injected mutations."""
+    n = draw(st.integers(0, 6))
+    fields = [
+        [
+            repr(draw(st.floats(0.0, 10.0))),
+            str(draw(st.integers(0, _SENSOR_W - 1))),
+            str(draw(st.integers(0, _SENSOR_H - 1))),
+            draw(st.sampled_from(["0", "1"])),
+        ]
+        for _ in range(n)
+    ]
+    separators = [[draw(st.sampled_from([" ", "\t", "  "])) for _ in range(3)] for _ in range(n)]
+    extra_lines, anywhere = [], []
+    for kind in draw(st.lists(st.sampled_from(["field", "separator", "line", "anywhere"]), max_size=3)):
+        if kind == "field" and n:
+            column = draw(st.integers(0, 3))
+            spellings = (_T_SPELLINGS, _XY_SPELLINGS, _XY_SPELLINGS, _P_SPELLINGS)[column]
+            fields[draw(st.integers(0, n - 1))][column] = draw(st.sampled_from(spellings))
+        elif kind == "separator" and n:
+            separators[draw(st.integers(0, n - 1))][draw(st.integers(0, 2))] = draw(st.sampled_from(_LINE_BREAKS))
+        elif kind == "line":
+            extra_lines.append(draw(st.sampled_from(["", "   ", "\t", "#", "# 0.1 1 1 1", "0.1 1 1"])))
+        elif kind == "anywhere":
+            anywhere.append(draw(st.sampled_from(_LINE_BREAKS + ["\x00", "\x1f", " "])))
+    rows = ["".join(f + sep for f, sep in zip(row, seps + [""])) for row, seps in zip(fields, separators)]
+    for line in extra_lines:
+        rows.insert(draw(st.integers(0, len(rows))), line)
+    end = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    text = "".join(row + end for row in rows)
+    if text and draw(st.booleans()):
+        text = text[: -len(end)]  # no final line break
+    for char in anywhere:
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + char + text[at:]
+    return text
+
+
+def _outcome(parse, text):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = parse(text)
+        except DataError as exc:
+            return type(exc), str(exc), getattr(exc, "line_no", None)
+    return result, [str(w.message) for w in caught]
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(text=_event_texts())
+def test_parse_events_matches_per_line_oracle(text):
+    got = _outcome(lambda s: parse_events(s, _SENSOR_W, _SENSOR_H), text)
+    want = _outcome(lambda s: parse_events_lines(s, _SENSOR_W, _SENSOR_H), text)
+    if isinstance(want[0], type):
+        assert isinstance(got[0], type) and got == want
+    else:
+        assert got[0].dtype == EVENT_DTYPE
+        assert got[0].tobytes() == np.array(want[0], EVENT_DTYPE).tobytes()
+        assert got[1] == want[1]
+
+
+@pytest.mark.parametrize("brk", _LINE_BREAKS[3:])
+def test_mid_line_break_is_two_lines(brk):
+    with pytest.raises(ParseError) as exc:
+        parse_events(f"0.5 1 1 1\n1.0 2{brk}3 1\n", _SENSOR_W, _SENSOR_H)
+    assert exc.value.line_no == 2
 
 
 class TestParsePoses:
@@ -141,10 +238,10 @@ class TestWindowEvents:
         windows, skipped = window_events(evs, poses)
         assert skipped == 0
         assert len(windows) == 2
-        assert [e.t for e in windows[0].events] == [0.001, 0.004]
+        assert windows[0].events["t"].tolist() == [0.001, 0.004]
         assert windows[0].label.t == 0.005
         assert windows[0].sequence_index == 0
-        assert [e.t for e in windows[1].events] == [0.007]
+        assert windows[1].events["t"].tolist() == [0.007]
         assert windows[1].label.t == 0.010
 
     def test_event_exactly_at_pose_time_joins_earlier_window(self):
@@ -156,45 +253,51 @@ class TestWindowEvents:
 
     def test_empty_interval_skipped_and_counted(self):
         poses = make_poses([0.0, 0.005])
-        windows, skipped = window_events([], poses)
+        windows, skipped = window_events(events(), poses)
         assert windows == []
         assert skipped == 1
 
     def test_insufficient_poses(self):
         with pytest.raises(InsufficientDataError):
-            window_events([], make_poses([0.0]))
+            window_events(events(), make_poses([0.0]))
 
     def test_events_outside_range_discarded(self):
         poses = make_poses([0.1, 0.2])
         evs = parse_events("0.05 1 1 1\n0.1 2 2 1\n0.15 3 3 1\n0.25 4 4 1\n", 64, 64)
         windows, _ = window_events(evs, poses)
-        assert [e.t for e in windows[0].events] == [0.15]
+        assert windows[0].events["t"].tolist() == [0.15]
 
     def test_partition_of_retained_events(self):
         rng = np.random.default_rng(3)
         poses = make_poses([round(0.01 * i, 6) for i in range(20)])
-        evs = [
-            Event(float(rng.uniform(-0.05, 0.25)), int(rng.integers(0, 8)), int(rng.integers(0, 8)), 1)
-            for _ in range(500)
-        ]
+        evs = events(
+            *((float(rng.uniform(-0.05, 0.25)), int(rng.integers(0, 8)), int(rng.integers(0, 8)), 1)
+              for _ in range(500))
+        )
         windows, _ = window_events(evs, poses)
-        retained = [e for w in windows for e in w.events]
-        in_range = [e for e in evs if poses[0].t < e.t <= poses[-1].t]
+        retained = [e for w in windows for e in w.events.tolist()]
+        in_range = [e for e in evs.tolist() if poses[0].t < e[0] <= poses[-1].t]
         assert sorted(retained) == sorted(in_range)
         # each retained event appears exactly once
         assert len(retained) == len(in_range)
 
+    def test_monotone_stream_windows_are_views(self):
+        poses = make_poses([0.1, 0.2, 0.3])
+        evs = parse_events("0.05 1 1 1\n0.15 2 2 1\n0.25 3 3 0\n0.35 4 4 1\n", 64, 64)
+        windows, _ = window_events(evs, poses)
+        assert [w.events.base is evs for w in windows] == [True, True]
+
     def test_windows_sorted_with_stable_ties(self):
         poses = make_poses([0.0, 1.0])
-        evs = [Event(0.5, 1, 1, 1), Event(0.3, 2, 2, 1), Event(0.5, 3, 3, 1)]
+        evs = events((0.5, 1, 1, 1), (0.3, 2, 2, 1), (0.5, 3, 3, 1))
         windows, _ = window_events(evs, poses)
-        assert [e.x for e in windows[0].events] == [2, 1, 3]
+        assert windows[0].events["x"].tolist() == [2, 1, 3]
 
 
 class TestSplits:
     def make_windows(self, n):
         poses = make_poses([0.005 * i for i in range(n + 1)])
-        evs = [Event(0.005 * i + 0.001, i % 8, i % 8, 1) for i in range(n)]
+        evs = events(*((0.005 * i + 0.001, i % 8, i % 8, 1) for i in range(n)))
         windows, _ = window_events(evs, poses)
         assert len(windows) == n
         return windows

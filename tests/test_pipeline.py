@@ -8,7 +8,7 @@ from evpose import config, evaluation, pipeline
 from evpose import model as m
 from evpose.errors import CheckpointError, InsufficientDataError
 from evpose.event_image import image_from_window
-from evpose.events import Event, EventWindow, PoseLabel
+from evpose.events import EVENT_DTYPE, EventWindow, PoseLabel
 
 
 def toy_train_config(**overrides):
@@ -20,10 +20,11 @@ def toy_train_config(**overrides):
 def make_windows(n, rng, h=8, w=8):
     windows = []
     for i in range(n):
-        events = [
-            Event(0.005 * i + 0.0002 * (j + 1), int(rng.integers(0, w)), int(rng.integers(0, h)), int(rng.choice([-1, 1])))
-            for j in range(int(rng.integers(3, 15)))
-        ]
+        events = np.array(
+            [(0.005 * i + 0.0002 * (j + 1), int(rng.integers(0, w)), int(rng.integers(0, h)), int(rng.choice([-1, 1])))
+             for j in range(int(rng.integers(3, 15)))],
+            EVENT_DTYPE,
+        )
         q = rng.standard_normal(4)
         q /= np.linalg.norm(q)
         if q[3] < 0:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -102,12 +103,12 @@ class TestGenerateDataset:
         )
         assert len(events) == total_hamming > 0
         # polarity matches the new mask value at each event pixel
-        for e in events:
-            idx = min(int(math.ceil(e.t * cfg.rate_hz - 1e-12)), len(masks) - 1)
+        for t, x, y, rho in events.tolist():
+            idx = min(int(math.ceil(t * cfg.rate_hz - 1e-12)), len(masks) - 1)
             new_mask = masks[idx]
             old_mask = masks[idx - 1]
-            assert new_mask[e.y, e.x] != old_mask[e.y, e.x]
-            assert (e.rho == 1) == bool(new_mask[e.y, e.x])
+            assert new_mask[y, x] != old_mask[y, x]
+            assert (rho == 1) == bool(new_mask[y, x])
 
     def test_deterministic_bytes(self):
         cfg = self.moving_scene(seed=9)
@@ -126,13 +127,13 @@ class TestGenerateDataset:
             assert window.label is poses[window.sequence_index + 1]
             lo = poses[window.sequence_index].t
             hi = window.label.t
-            assert all(lo < e.t <= hi for e in window.events)
+            assert all(lo < t <= hi for t in window.events["t"].tolist())
 
     def test_timestamps_sorted(self):
         cfg = self.moving_scene(duration=0.3)
         events_text, _ = synth.generate_dataset(cfg)
         events = parse_events(events_text, cfg.sensor_w, cfg.sensor_h)
-        ts = [e.t for e in events]
+        ts = events["t"].tolist()
         assert ts == sorted(ts)
 
     def test_config_validation(self):
@@ -142,6 +143,8 @@ class TestGenerateDataset:
             single_segment_scene([((0, 0, 1), (1, 0, 1))], duration=-1.0)
         with pytest.raises(DataError):
             single_segment_scene([((0, 0, 1), (1, 0, 1))], seed=-1)
+        with pytest.raises(DataError):  # coordinates are stored as uint16
+            dataclasses.replace(synth.default_scene(), sensor_w=65536)
 
     def test_json_round_trip(self):
         cfg = synth.default_scene()
