@@ -7,6 +7,11 @@ inverted dropout and ``lstm_sequence``, a whole LSTM layer run over a
 sequence as one graph node with a hand-written backprop-through-time vjp.
 Gradients are accumulated within a single ``backward`` call; tensors are
 treated as immutable once they enter a graph.
+
+A gradient is an ndarray or an ``Outer``: the gradient of a leaf weight
+in a single-row matmul is the rank-1 product of two vectors, kept as its
+factors. ``np.asarray`` densifies an ``Outer``; ``sgd_step`` applies one
+without densifying it.
 """
 
 from __future__ import annotations
@@ -36,6 +41,22 @@ def no_grad():
         yield
     finally:
         _grad_enabled = prev
+
+
+class Outer:
+    """The rank-1 matrix ``u[:, None] * v[None, :]``, kept as ``u`` (n,) and
+    ``v`` (m,). ``np.asarray`` returns the product, bit-equal to that
+    broadcast multiply."""
+
+    __slots__ = ("u", "v", "shape")
+
+    def __init__(self, u: Array, v: Array):
+        self.u = u
+        self.v = v
+        self.shape = (u.shape[0], v.shape[0])
+
+    def __array__(self, dtype=None, copy=None) -> Array:
+        return np.multiply.outer(self.u, self.v).astype(dtype, copy=False)
 
 
 class Tensor:
@@ -105,16 +126,27 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product of two 2-D tensors. For a single-row ``a`` and a leaf
+    ``b`` the gradient of ``b`` is the ``Outer`` of ``a``'s row and ``g``'s
+    row; other vjps take only ndarrays, so a non-leaf ``b`` gets a dense one."""
     ad, bd = a.data, b.data
     if ad.ndim != 2 or bd.ndim != 2 or ad.shape[1] != bd.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {ad.shape} and {bd.shape}")
     need_a, need_b = a.requires_grad, b.requires_grad
+    leaf_b = b._vjp is None
 
     def vjp(g: Array) -> tuple:
-        # (1, n) x (n, m) is the hot path; its weight gradient is the outer
-        # product ad.T * g, which is cheaper than a k=1 dgemm and bit-equal.
         ga = g @ bd.T if need_a else None
-        gb = (ad.T * g if ad.shape[0] == 1 else ad.T @ g) if need_b else None
+        if not need_b:
+            gb = None
+        elif ad.shape[0] != 1:
+            gb = ad.T @ g
+        elif leaf_b:
+            # The row is copied: ``ad`` may view a parameter that sgd_step
+            # updates in place before it applies this gradient.
+            gb = Outer(ad[0].copy(), g[0])
+        else:
+            gb = ad.T * g  # bit-equal to np.asarray(Outer(ad[0], g[0]))
         return ga, gb
 
     return _node(ad @ bd, (a, b), vjp)
@@ -420,13 +452,18 @@ def dropout(x: Tensor, rate: float, training: bool, seed: int | None = None) -> 
     return _node(x.data * mask, (x,), lambda g: (g * mask,))
 
 
-def backward(output: Tensor, params: Sequence[Tensor] | None = None) -> dict[Tensor, Array]:
+def backward(
+    output: Tensor, params: Sequence[Tensor] | None = None
+) -> dict[Tensor, Array | Outer]:
     """Reverse-mode gradients of a scalar output.
 
-    Returns a map from leaf tensor to gradient array. When ``params`` is
-    given, the map covers exactly those tensors, with zeros for leaves the
-    graph does not reach. Returned arrays may share memory with graph
-    internals; treat them as read-only.
+    Returns a map from leaf tensor to gradient: an ndarray, or an ``Outer``
+    for a leaf whose only contribution is the weight gradient of a
+    single-row matmul (``np.asarray`` densifies it). A leaf reached more
+    than once gets a dense sum. When ``params`` is given, the map covers
+    exactly those tensors, with zeros for leaves the graph does not reach.
+    Returned gradients may share memory with graph internals; treat them
+    as read-only.
     """
     if output.data.shape not in ((), (1,)):
         raise ShapeError(f"backward needs a scalar output, got shape {output.data.shape}")
@@ -465,7 +502,8 @@ def backward(output: Tensor, params: Sequence[Tensor] | None = None) -> dict[Ten
                 grads[pid] = pg
             else:
                 if pid not in owned:
-                    acc = acc.copy()  # never mutate an array a vjp may alias
+                    # densifies an Outer; never mutate an array a vjp may alias
+                    acc = np.array(acc)
                     grads[pid] = acc
                     owned.add(pid)
                 acc += pg
@@ -532,13 +570,27 @@ def _axpy(alpha: float, x: Array, y: Array) -> None:
     blas_daxpy(x.reshape(-1), y.reshape(-1), a=alpha)
 
 
+_OUTER_BLOCK = 32768  # float64 elements of one multiplied-out Outer block
+
+
+def _momentum_update(theta: Array, g: Array, v: Array, state: OptState) -> None:
+    v *= state.momentum
+    v += g
+    if state.weight_decay != 0.0:
+        _axpy(state.weight_decay, theta, v)
+    _axpy(-state.lr, v, theta)
+
+
 def sgd_step(
-    params: Sequence[Tensor], grads: Mapping[Tensor, Array], state: OptState
+    params: Sequence[Tensor], grads: Mapping[Tensor, Array | Outer], state: OptState
 ) -> tuple[Sequence[Tensor], OptState]:
     """Classical momentum update, in place:
 
     g' = g + weight_decay * theta;  v = momentum * v + g';  theta -= lr * v
 
+    An ``Outer`` gradient is never densified whole: it is multiplied out one
+    block of about 256 KB of rows at a time, and each block is applied with
+    the same per-element operations, in the same order, as a dense gradient.
     Every gradient is checked first, so a ShapeError or NumericError
     leaves all parameters and velocities untouched.
     """
@@ -546,13 +598,23 @@ def sgd_step(
     for p, g in zip(params, gs):
         if g.shape != p.data.shape:
             raise ShapeError(f"sgd_step: gradient shape {g.shape} vs parameter {p.data.shape}")
-        # cheap gate: a finite sum implies all elements finite
-        if not np.isfinite(g.sum()) and not np.isfinite(g).all():
+        if isinstance(g, Outer):
+            # |fl(u_i v_j)| <= fl(max|u| max|v|), and a NaN or an inf * 0 in
+            # the product shows as a NaN here
+            finite = math.isfinite(float(np.abs(g.u).max()) * float(np.abs(g.v).max()))
+        else:
+            # cheap gate: a finite sum implies all elements finite
+            finite = np.isfinite(g.sum()) or np.isfinite(g).all()
+        if not finite:
             raise NumericError("non-finite gradient; optimizer step aborted")
     for p, g, v in zip(params, gs, state.velocity):
-        v *= state.momentum
-        v += g
-        if state.weight_decay != 0.0:
-            _axpy(state.weight_decay, p.data, v)
-        _axpy(-state.lr, v, p.data)
+        if not isinstance(g, Outer):
+            _momentum_update(p.data, g, v, state)
+            continue
+        rows = max(1, _OUTER_BLOCK // g.shape[1])
+        buf = np.empty((rows, g.shape[1]))
+        for r in range(0, g.shape[0], rows):
+            u = g.u[r : r + rows, None]
+            block = np.multiply(u, g.v, out=buf[: len(u)])
+            _momentum_update(p.data[r : r + rows], block, v[r : r + rows], state)
     return params, state

@@ -206,6 +206,43 @@ class TestBackward:
         with pytest.raises(ShapeError):
             ad.backward(ad.mul(x, x), params=[x])
 
+    def test_single_row_matmul_weight_gradient_is_factored(self):
+        rng = np.random.default_rng(5)
+        x, w = ad.parameter(rng.standard_normal((1, 3))), ad.parameter(rng.standard_normal((3, 2)))
+        c = rng.standard_normal((1, 2))
+        grads = ad.backward(ad.sum_all(ad.mul(ad.matmul(x, w), ad.tensor(c))), params=[x, w])
+        assert isinstance(grads[w], ad.Outer) and grads[w].shape == (3, 2)
+        assert np.asarray(grads[w]).tobytes() == (x.data.T * c).tobytes()
+
+    @pytest.mark.parametrize("rows", [1, 4])
+    def test_weight_shared_with_single_row_matmul_gets_dense_sum(self, rows):
+        rng = np.random.default_rng(rows)
+        w = ad.parameter(rng.standard_normal((3, 2)))
+        x1, x2 = rng.standard_normal((1, 3)), rng.standard_normal((rows, 3))
+        c1, c2 = rng.standard_normal((1, 2)), rng.standard_normal((rows, 2))
+        loss = ad.add(
+            ad.sum_all(ad.mul(ad.matmul(ad.tensor(x1), w), ad.tensor(c1))),
+            ad.sum_all(ad.mul(ad.matmul(ad.tensor(x2), w), ad.tensor(c2))),
+        )
+        grad = ad.backward(loss, params=[w])[w]
+        assert type(grad) is np.ndarray
+        second = x2.T * c2 if rows == 1 else x2.T @ c2
+        assert grad.tobytes() == (x1.T * c1 + second).tobytes()
+
+    def test_factored_gradient_survives_update_of_its_left_operand(self):
+        # x is updated in place before w's gradient, which is built from x
+        runs = []
+        for densify in (False, True):
+            x, w = ad.parameter(np.ones((1, 3))), ad.parameter(np.ones((3, 2)))
+            state = ad.make_opt_state([x, w], lr=0.5, momentum=0.9, weight_decay=0.0)
+            for _ in range(2):
+                grads = ad.backward(ad.l2norm(ad.matmul(x, w)), params=[x, w])
+                if densify:
+                    grads = {t: np.asarray(g) for t, g in grads.items()}
+                ad.sgd_step([x, w], grads, state)
+            runs.append(x.data.tobytes() + w.data.tobytes())
+        assert runs[0] == runs[1]
+
     def test_reused_tensor_accumulates(self):
         x = ad.parameter(np.array([2.0]))
         # f = x*x + x -> grad 2x + 1 = 5
@@ -296,6 +333,22 @@ class TestGradCheck:
         err = ad.grad_check(lambda ps: ad.tensor(np.asarray(5.0)), [x], eps=1e-4)
         assert err == 0.0
 
+    @pytest.mark.parametrize(
+        "shapes, weight",
+        [
+            ([(1, 3), (3, 4), (3, 4)], lambda w1, w2: ad.sub(w1, w2)),
+            ([(1, 4), (3, 4)], lambda w: ad.reshape(w, (4, 3))),
+            ([(1, 1), (1, 3), (3, 4)], lambda w1, w2: ad.matmul(w1, w2)),
+        ],
+        ids=["sub", "reshape", "matmul"],
+    )
+    def test_single_row_matmul_over_a_non_leaf_weight(self, shapes, weight):
+        # the weight node's own vjp must be given a dense gradient
+        rng = np.random.default_rng(len(shapes) + shapes[0][1])
+        ps = [ad.parameter(rng.standard_normal(s)) for s in shapes]
+        err = ad.grad_check(lambda ps: ad.l2norm(ad.matmul(ps[0], weight(*ps[1:]))), ps, eps=1e-6)
+        assert err < 1e-6
+
     def test_bad_eps(self):
         x = ad.parameter(np.ones(2))
         with pytest.raises(ValueError):
@@ -339,14 +392,53 @@ class TestSgd:
             ad.sgd_step([p], {p: np.array([1.0, np.nan, 0.0])}, state)
 
     def test_non_finite_last_gradient_leaves_every_tensor_untouched(self):
-        rng = np.random.default_rng(3)
-        params = [ad.parameter(rng.standard_normal(shape)) for shape in ((3,), (2, 2), (4,))]
-        state = ad.make_opt_state(params, lr=0.1, momentum=0.9, weight_decay=1e-3)
-        ad.sgd_step(params, {p: np.ones(p.data.shape) for p in params}, state)  # non-zero velocities
-        before = [p.data.copy() for p in params] + [v.copy() for v in state.velocity]
-        grads = {p: np.ones(p.data.shape) for p in params}
-        grads[params[-1]] = np.array([1.0, 2.0, np.nan, 0.0])
-        with pytest.raises(NumericError):
-            ad.sgd_step(params, grads, state)
-        after = [p.data for p in params] + state.velocity
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(after, before))
+        assert_last_gradient_rejected(np.array([1.0, 2.0, np.nan, 0.0]))
+
+    @pytest.mark.parametrize(
+        "u, v",
+        [
+            ([1.0, np.nan, 0.0, 2.0], [1.0, 0.0]),  # NaN factor
+            ([1.0, np.inf, 0.0, 2.0], [0.0, 0.0]),  # inf * 0 = NaN
+            ([1e200, 1.0, 0.0, 2.0], [1e200, -1.0]),  # overflow
+        ],
+    )
+    def test_non_finite_outer_gradient_leaves_every_tensor_untouched(self, u, v):
+        assert_last_gradient_rejected(ad.Outer(np.array(u), np.array(v)))
+
+    @pytest.mark.parametrize("shape", [(300, 7), (4096, 256), (1, 5), (5000, 7), (3, 40000)])
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-3])
+    def test_outer_gradient_steps_match_dense(self, shape, weight_decay):
+        rng = np.random.default_rng(shape[0] * shape[1])
+        factored, dense = (ad.parameter(rng.standard_normal(shape)) for _ in range(2))
+        dense.data[...] = factored.data
+        states = [ad.make_opt_state([p], 0.05, 0.9, weight_decay) for p in (factored, dense)]
+        for _ in range(3):
+            g = ad.Outer(rng.standard_normal(shape[0]), rng.standard_normal(shape[1]))
+            ad.sgd_step([factored], {factored: g}, states[0])
+            ad.sgd_step([dense], {dense: np.asarray(g)}, states[1])
+            assert factored.data.tobytes() == dense.data.tobytes()
+            assert states[0].velocity[0].tobytes() == states[1].velocity[0].tobytes()
+
+    def test_outer_gradient_near_overflow_is_applied(self):
+        u, v = np.array([1e150, 1.0]), np.array([1e150, -1.0])
+        p = ad.parameter(np.zeros((2, 2)))
+        state = ad.make_opt_state([p], lr=1.0, momentum=0.0, weight_decay=0.0)
+        ad.sgd_step([p], {p: ad.Outer(u, v)}, state)
+        assert p.data.tobytes() == (-(u[:, None] * v)).tobytes()
+        assert np.isfinite(p.data).all()
+
+
+def assert_last_gradient_rejected(bad):
+    """sgd_step with ``bad`` as the last of three gradients raises
+    NumericError and leaves every parameter and velocity untouched."""
+    rng = np.random.default_rng(3)
+    params = [ad.parameter(rng.standard_normal(shape)) for shape in ((3,), (2, 2), bad.shape)]
+    state = ad.make_opt_state(params, lr=0.1, momentum=0.9, weight_decay=1e-3)
+    ad.sgd_step(params, {p: np.ones(p.data.shape) for p in params}, state)  # non-zero velocities
+    before = [p.data.copy() for p in params] + [v.copy() for v in state.velocity]
+    grads = {p: np.ones(p.data.shape) for p in params}
+    grads[params[-1]] = bad
+    with pytest.raises(NumericError):
+        ad.sgd_step(params, grads, state)
+    after = [p.data for p in params] + state.velocity
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(after, before))

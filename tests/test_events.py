@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evpose import events as events_module
 from evpose.errors import (
     BoundsError,
     DataError,
@@ -70,6 +71,16 @@ class TestParseEvents:
 
     def test_blank_lines_skipped(self):
         assert len(parse_events("\n0.1 1 1 1\n\n", 64, 64)) == 1
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n"])
+    def test_valid_stream_never_reaches_the_per_line_parser(self, monkeypatch, end):
+        def refuse(*args):
+            raise AssertionError("per-line parser called")
+
+        monkeypatch.setattr(events_module, "_parse_event_lines", refuse)
+        text = end.join(["0.1 1 2 1", "", "0.2 3 4 0", "0.3 5 5 1"]) + end
+        evs = parse_events(text, 8, 6)
+        assert evs.tobytes() == events((0.1, 1, 2, 1), (0.2, 3, 4, -1), (0.3, 5, 5, 1)).tobytes()
 
     def test_round_trip(self):
         rng = np.random.default_rng(5)

@@ -105,6 +105,22 @@ class TestTrain:
         ckpt = pipeline.train(toy_train_config(batch_size=4, epochs=2), self.windows)
         assert len(ckpt.loss_history) == 2
 
+    @pytest.mark.parametrize("batch_size", [1, 3])
+    def test_factored_gradients_train_bit_identically(self, tmp_path, monkeypatch, batch_size):
+        cfg = toy_train_config(batch_size=batch_size)
+        pipeline.save_checkpoint(pipeline.train(cfg, self.windows), tmp_path / "factored")
+        backward, returned = ad.backward, set()
+
+        def dense_backward(*args, **kwargs):
+            grads = backward(*args, **kwargs)
+            returned.update(type(g) for g in grads.values())
+            return {t: np.asarray(g) for t, g in grads.items()}
+
+        monkeypatch.setattr(ad, "backward", dense_backward)
+        pipeline.save_checkpoint(pipeline.train(cfg, self.windows), tmp_path / "dense")
+        assert ad.Outer in returned
+        assert (tmp_path / "factored").read_bytes() == (tmp_path / "dense").read_bytes()
+
     def test_end_to_end_determinism_checkpoint_bytes(self, tmp_path):
         from evpose import synth
         from evpose.events import parse_events, parse_poses, window_events
