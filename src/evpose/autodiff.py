@@ -43,10 +43,13 @@ def no_grad():
         _grad_enabled = prev
 
 
+_OUTER_BLOCK = 32768  # float64 elements of one multiplied-out Outer block
+
+
 class Outer:
     """The rank-1 matrix ``u[:, None] * v[None, :]``, kept as ``u`` (n,) and
     ``v`` (m,). ``np.asarray`` returns the product, bit-equal to that
-    broadcast multiply."""
+    broadcast multiply, and so does every block from ``blocks``."""
 
     __slots__ = ("u", "v", "shape")
 
@@ -57,6 +60,16 @@ class Outer:
 
     def __array__(self, dtype=None, copy=None) -> Array:
         return np.multiply.outer(self.u, self.v).astype(dtype, copy=False)
+
+    def blocks(self):
+        """Yield ``(rows, block)``: the product multiplied out about 256 KB of
+        rows at a time into one reused buffer, so a block is valid only
+        until the next one is drawn."""
+        rows = max(1, _OUTER_BLOCK // self.shape[1])
+        buf = np.empty((rows, self.shape[1]))
+        for r in range(0, self.shape[0], rows):
+            u = self.u[r : r + rows, None]
+            yield slice(r, r + rows), np.multiply(u, self.v, out=buf[: len(u)])
 
 
 class Tensor:
@@ -85,8 +98,9 @@ def tensor(data) -> Tensor:
 
 
 def parameter(data) -> Tensor:
-    """Wrap data as a trainable leaf tensor."""
-    return Tensor(np.array(data, dtype=np.float64), requires_grad=True)
+    """Wrap a C-ordered copy of data as a trainable leaf tensor (``sgd_step``
+    updates it in place through flat views)."""
+    return Tensor(np.array(data, dtype=np.float64, order="C"), requires_grad=True)
 
 
 def _node(data: Array, parents: tuple[Tensor, ...], vjp: Callable[[Array], tuple]) -> Tensor:
@@ -128,7 +142,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product of two 2-D tensors. For a single-row ``a`` and a leaf
     ``b`` the gradient of ``b`` is the ``Outer`` of ``a``'s row and ``g``'s
-    row; other vjps take only ndarrays, so a non-leaf ``b`` gets a dense one."""
+    row; other vjps take only ndarrays, so a non-leaf ``b`` gets ``a.T @ g``."""
     ad, bd = a.data, b.data
     if ad.ndim != 2 or bd.ndim != 2 or ad.shape[1] != bd.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {ad.shape} and {bd.shape}")
@@ -139,14 +153,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         ga = g @ bd.T if need_a else None
         if not need_b:
             gb = None
-        elif ad.shape[0] != 1:
-            gb = ad.T @ g
-        elif leaf_b:
+        elif ad.shape[0] == 1 and leaf_b:
             # The row is copied: ``ad`` may view a parameter that sgd_step
             # updates in place before it applies this gradient.
             gb = Outer(ad[0].copy(), g[0])
         else:
-            gb = ad.T * g  # bit-equal to np.asarray(Outer(ad[0], g[0]))
+            gb = ad.T @ g
         return ga, gb
 
     return _node(ad @ bd, (a, b), vjp)
@@ -177,9 +189,9 @@ def linear_pair(x: Tensor, w_x: Tensor, h: Tensor, w_h: Tensor, b: Tensor) -> Te
     def vjp(g: Array) -> tuple:
         return (
             g @ wxd.T if needs[0] else None,
-            (xd.T * g if xd.shape[0] == 1 else xd.T @ g) if needs[1] else None,
+            xd.T @ g if needs[1] else None,
             g @ whd.T if needs[2] else None,
-            (hd.T * g if hd.shape[0] == 1 else hd.T @ g) if needs[3] else None,
+            hd.T @ g if needs[3] else None,
             g,
         )
 
@@ -452,16 +464,15 @@ def dropout(x: Tensor, rate: float, training: bool, seed: int | None = None) -> 
     return _node(x.data * mask, (x,), lambda g: (g * mask,))
 
 
-def backward(
-    output: Tensor, params: Sequence[Tensor] | None = None
-) -> dict[Tensor, Array | Outer]:
-    """Reverse-mode gradients of a scalar output.
+def backward(output: Tensor, params: Sequence[Tensor]) -> dict[Tensor, Array | Outer]:
+    """Reverse-mode gradients of a scalar output with respect to ``params``.
 
-    Returns a map from leaf tensor to gradient: an ndarray, or an ``Outer``
-    for a leaf whose only contribution is the weight gradient of a
-    single-row matmul (``np.asarray`` densifies it). A leaf reached more
-    than once gets a dense sum. When ``params`` is given, the map covers
-    exactly those tensors, with zeros for leaves the graph does not reach.
+    Returns a map from each of ``params`` to its gradient, with zeros for a
+    tensor the graph does not reach. A gradient is an ndarray, or an
+    ``Outer`` for a leaf whose only contribution is the weight gradient of
+    a single-row matmul (``np.asarray`` densifies it). Contributions are
+    summed out of place in the order they arrive, so a tensor reached more
+    than once gets a dense sum and no vjp's output is ever mutated.
     Returned gradients may share memory with graph internals; treat them
     as read-only.
     """
@@ -484,13 +495,11 @@ def backward(
             if parent.requires_grad and id(parent) not in visited:
                 stack.append((parent, False))
 
-    grads: dict[int, Array] = {id(output): np.ones_like(output.data)}
-    owned: set[int] = {id(output)}
+    grads: dict[int, Array | Outer] = {id(output): np.ones_like(output.data)}
     for node in reversed(topo):
         if node._vjp is None:
             continue  # leaf: keep its accumulated gradient
         g = grads.pop(id(node), None)
-        owned.discard(id(node))
         if g is None:
             continue
         for parent, pg in zip(node._parents, node._vjp(g)):
@@ -498,25 +507,10 @@ def backward(
                 continue
             pid = id(parent)
             acc = grads.get(pid)
-            if acc is None:
-                grads[pid] = pg
-            else:
-                if pid not in owned:
-                    # densifies an Outer; never mutate an array a vjp may alias
-                    acc = np.array(acc)
-                    grads[pid] = acc
-                    owned.add(pid)
-                acc += pg
+            # np.add, not +: it densifies an Outer on either side
+            grads[pid] = pg if acc is None else np.add(acc, pg)
 
-    if params is None:
-        leaves = [n for n in topo if n._vjp is None]
-    else:
-        leaves = list(params)
-    result: dict[Tensor, Array] = {}
-    for leaf in leaves:
-        g = grads.get(id(leaf))
-        result[leaf] = g if g is not None else np.zeros_like(leaf.data)
-    return result
+    return {p: grads[id(p)] if id(p) in grads else np.zeros_like(p.data) for p in params}
 
 
 def grad_check(
@@ -570,9 +564,6 @@ def _axpy(alpha: float, x: Array, y: Array) -> None:
     blas_daxpy(x.reshape(-1), y.reshape(-1), a=alpha)
 
 
-_OUTER_BLOCK = 32768  # float64 elements of one multiplied-out Outer block
-
-
 def _momentum_update(theta: Array, g: Array, v: Array, state: OptState) -> None:
     v *= state.momentum
     v += g
@@ -583,8 +574,9 @@ def _momentum_update(theta: Array, g: Array, v: Array, state: OptState) -> None:
 
 def sgd_step(
     params: Sequence[Tensor], grads: Mapping[Tensor, Array | Outer], state: OptState
-) -> tuple[Sequence[Tensor], OptState]:
-    """Classical momentum update, in place:
+) -> None:
+    """Classical momentum update of ``params`` and ``state.velocity``, in
+    place; returns nothing:
 
     g' = g + weight_decay * theta;  v = momentum * v + g';  theta -= lr * v
 
@@ -608,13 +600,8 @@ def sgd_step(
         if not finite:
             raise NumericError("non-finite gradient; optimizer step aborted")
     for p, g, v in zip(params, gs, state.velocity):
-        if not isinstance(g, Outer):
+        if isinstance(g, Outer):
+            for rows, block in g.blocks():
+                _momentum_update(p.data[rows], block, v[rows], state)
+        else:
             _momentum_update(p.data, g, v, state)
-            continue
-        rows = max(1, _OUTER_BLOCK // g.shape[1])
-        buf = np.empty((rows, g.shape[1]))
-        for r in range(0, g.shape[0], rows):
-            u = g.u[r : r + rows, None]
-            block = np.multiply(u, g.v, out=buf[: len(u)])
-            _momentum_update(p.data[r : r + rows], block, v[r : r + rows], state)
-    return params, state

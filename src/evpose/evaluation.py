@@ -12,7 +12,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -34,16 +34,6 @@ class ErrorSummary:
     max: float
     n: int
 
-    def to_dict(self) -> dict:
-        return {
-            "median": self.median,
-            "mean": self.mean,
-            "q1": self.q1,
-            "q3": self.q3,
-            "max": self.max,
-            "n": self.n,
-        }
-
 
 @dataclass(eq=False)
 class EvalReport:
@@ -64,8 +54,8 @@ class EvalReport:
     def to_json(self) -> str:
         return json.dumps(
             {
-                "position": self.position.to_dict(),
-                "orientation": self.orientation.to_dict(),
+                "position": asdict(self.position),
+                "orientation": asdict(self.orientation),
                 "n_samples": len(self.per_sample_errors),
             },
             indent=2,

@@ -1,8 +1,9 @@
 """Training loop, configuration, and checkpoint serialization.
 
-Training is per-image SGD (gradients optionally accumulated over a small
-batch), fully deterministic given the seed: epoch shuffles and per-sample
-dropout masks all derive from one seeded generator.
+Training is momentum SGD on minibatches of ``batch_size`` windows (one by
+default), each step taking the mean of the windows' gradients. It is fully
+deterministic given the seed: epoch shuffles and per-sample dropout masks
+all derive from one seeded generator.
 
 Checkpoints (format version 2) are a one-line JSON ``_Header`` (format,
 version, model config, parameter manifest, optimizer hyperparameters,
@@ -77,10 +78,11 @@ class Checkpoint:
 def train(config: TrainConfig, windows: Sequence[EventWindow]) -> Checkpoint:
     """Train from scratch on the given windows; returns the final checkpoint.
 
-    Per epoch the windows are visited in a freshly shuffled order; each
-    visit runs the forward pass in training mode (dropout active), the
-    position+quaternion loss, backprop and one momentum-SGD step (or a
-    gradient-accumulating step every ``batch_size`` samples).
+    Per epoch the windows are shuffled and cut into consecutive slices of
+    ``batch_size`` (the last one may be shorter). Each window of a slice
+    runs the forward pass in training mode (dropout active), the
+    position+quaternion loss and backprop; then one momentum-SGD step
+    applies the slice's mean gradient.
     """
     if len(windows) == 0:
         raise InsufficientDataError("train: no training windows")
@@ -93,49 +95,45 @@ def train(config: TrainConfig, windows: Sequence[EventWindow]) -> Checkpoint:
     images = [image_from_window(w, cfg.input_h, cfg.input_w) for w in windows]
     labels = [w.label for w in windows]
 
-    acc: dict[ad.Tensor, np.ndarray] | None = None
-    acc_count = 0
-
-    def flush():
-        nonlocal acc, acc_count
-        if acc is None or acc_count == 0:
-            return
-        if acc_count > 1:
-            for g in acc.values():
-                g /= acc_count
-        ad.sgd_step(tensors, acc, opt)
-        acc = None
-        acc_count = 0
-
     history: list[float] = []
     for epoch in range(config.epochs):
-        order = rng.permutation(len(windows))
+        order = rng.permutation(len(windows)).tolist()
         total = 0.0
-        for idx in order.tolist():
-            drop_seed = int(rng.integers(0, 2**63))
-            out = _model.forward(images[idx], params, training=True, rng_seed=drop_seed)
-            loss = _model.pose_loss(out, labels[idx])
-            value = float(loss.data)
-            if not math.isfinite(value):
-                raise NumericError(
-                    f"non-finite loss at epoch {epoch + 1}, window index {idx}"
-                )
-            total += value
-            grads = ad.backward(loss, params=tensors)
-            if config.batch_size == 1:
-                ad.sgd_step(tensors, grads, opt)
-            else:
-                if acc is None:
-                    acc = {t: np.array(grads[t]) for t in tensors}
-                else:
-                    for t in tensors:
-                        acc[t] += grads[t]
-                acc_count += 1
-                if acc_count == config.batch_size:
-                    flush()
-        flush()  # partial batch at epoch end
+        for start in range(0, len(order), config.batch_size):
+            grads = []
+            for idx in order[start : start + config.batch_size]:
+                drop_seed = int(rng.integers(0, 2**63))
+                out = _model.forward(images[idx], params, training=True, rng_seed=drop_seed)
+                loss = _model.pose_loss(out, labels[idx])
+                value = float(loss.data)
+                if not math.isfinite(value):
+                    raise NumericError(
+                        f"non-finite loss at epoch {epoch + 1}, window index {idx}"
+                    )
+                total += value
+                grads.append(ad.backward(loss, params=tensors))
+            ad.sgd_step(tensors, _mean_gradient(grads), opt)
         history.append(total / len(order))
     return Checkpoint(params, opt, config.epochs, history)
+
+
+def _mean_gradient(grads: list[dict]) -> dict:
+    """The mean of per-sample gradient maps. A single map is returned as it
+    is, so an ``Outer`` reaches ``sgd_step`` unexpanded; several are summed
+    into a dense copy of the first, in sample order, then divided."""
+    if len(grads) == 1:
+        return grads[0]
+    mean = {t: np.array(g) for t, g in grads[0].items()}
+    for sample in grads[1:]:
+        for t, g in sample.items():
+            if isinstance(g, ad.Outer):  # no product-sized temporary
+                for rows, block in g.blocks():
+                    mean[t][rows] += block
+            else:
+                mean[t] += g
+    for g in mean.values():
+        g /= len(grads)
+    return mean
 
 
 @dataclass(frozen=True)

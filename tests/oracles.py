@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's own code paths: explicit loops
 instead of vectorized kernels, rotation matrices instead of quaternion
-algebra.
+algebra. ``train_accumulating`` is the exception: it checks only the
+training loop, so it reuses the library's forward, backward and SGD step.
 """
 
 import math
@@ -10,7 +11,11 @@ import warnings
 
 import numpy as np
 
+from evpose import autodiff as ad
+from evpose import model as m
 from evpose.errors import BoundsError, ParseError
+from evpose.event_image import image_from_window
+from evpose.pipeline import Checkpoint
 
 
 def lstm_step_scalar(x, h, c, layer):
@@ -145,3 +150,49 @@ def conv2d_loops(x, w, b, stride, padding):
                             acc += w[co, ci, ky, kx] * xp[ci, oy * stride + ky, ox * stride + kx]
                 out[co, oy, ox] = acc + b[co]
     return out
+
+
+def train_accumulating(config, windows):
+    """Minibatch training as a running sum: each sample's gradient is added
+    into dense accumulators, which one ``sgd_step`` applies (divided by the
+    count) when ``batch_size`` samples are in or the epoch ends. It draws
+    from the seeded generator in ``pipeline.train``'s order: one permutation
+    per epoch, then one dropout seed per sample."""
+    cfg = config.model
+    params = m.init_params(cfg, seed=config.seed)
+    tensors = params.ordered()
+    opt = ad.make_opt_state(tensors, config.lr, config.momentum, config.weight_decay)
+    rng = np.random.default_rng(config.seed)
+    images = [image_from_window(w, cfg.input_h, cfg.input_w) for w in windows]
+    acc, count = None, 0
+
+    def flush():
+        nonlocal acc, count
+        if count > 1:
+            for g in acc.values():
+                g /= count
+        if count:
+            ad.sgd_step(tensors, acc, opt)
+        acc, count = None, 0
+
+    history = []
+    for _ in range(config.epochs):
+        order = rng.permutation(len(windows))
+        total = 0.0
+        for idx in order.tolist():
+            drop_seed = int(rng.integers(0, 2**63))
+            out = m.forward(images[idx], params, training=True, rng_seed=drop_seed)
+            loss = m.pose_loss(out, windows[idx].label)
+            total += float(loss.data)
+            grads = ad.backward(loss, params=tensors)
+            if acc is None:
+                acc = {t: np.array(grads[t]) for t in tensors}
+            else:
+                for t in tensors:
+                    acc[t] += grads[t]
+            count += 1
+            if count == config.batch_size:
+                flush()
+        flush()
+        history.append(total / len(order))
+    return Checkpoint(params, opt, config.epochs, history)

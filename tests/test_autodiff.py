@@ -243,6 +243,12 @@ class TestBackward:
             runs.append(x.data.tobytes() + w.data.tobytes())
         assert runs[0] == runs[1]
 
+    def test_sum_never_mutates_a_vjp_output(self):
+        # each add vjp hands the same array to both of its parents
+        x = ad.parameter(np.array([1.0, 2.0]))
+        grads = ad.backward(ad.sum_all(ad.add(ad.add(x, x), x)), params=[x])
+        assert grads[x].tolist() == [3.0, 3.0]
+
     def test_reused_tensor_accumulates(self):
         x = ad.parameter(np.array([2.0]))
         # f = x*x + x -> grad 2x + 1 = 5
@@ -384,6 +390,12 @@ class TestSgd:
         for _ in range(3):
             ad.sgd_step([p], {p: rng.standard_normal((5, 5))}, state)
         assert np.array_equal(p.data, before)
+
+    def test_fortran_ordered_parameter_is_updated(self):
+        p = ad.parameter(np.asfortranarray(np.ones((3, 2))))
+        state = ad.make_opt_state([p], lr=0.5, momentum=0.0, weight_decay=0.0)
+        ad.sgd_step([p], {p: np.ones((3, 2))}, state)
+        assert np.array_equal(p.data, np.full((3, 2), 0.5))
 
     def test_non_finite_gradient_aborts(self):
         p = ad.parameter(np.ones(3))

@@ -9,6 +9,7 @@ from evpose import model as m
 from evpose.errors import CheckpointError, InsufficientDataError
 from evpose.event_image import image_from_window
 from evpose.events import EVENT_DTYPE, EventWindow, PoseLabel
+from oracles import train_accumulating
 
 
 def toy_train_config(**overrides):
@@ -101,9 +102,15 @@ class TestTrain:
         with pytest.raises(InsufficientDataError):
             pipeline.train(toy_train_config(), [])
 
-    def test_batch_size_accumulation_runs(self):
-        ckpt = pipeline.train(toy_train_config(batch_size=4, epochs=2), self.windows)
-        assert len(ckpt.loss_history) == 2
+    @pytest.mark.parametrize("batch_size", [2, 4, 7])
+    def test_minibatches_match_accumulation_reference(self, tmp_path, batch_size):
+        # of the 6 windows, batch 4 leaves a short last slice and batch 7 takes all
+        cfg = toy_train_config(batch_size=batch_size)
+        ckpt = pipeline.train(cfg, self.windows)
+        assert len(ckpt.loss_history) == cfg.epochs
+        pipeline.save_checkpoint(ckpt, tmp_path / "train")
+        pipeline.save_checkpoint(train_accumulating(cfg, self.windows), tmp_path / "reference")
+        assert (tmp_path / "train").read_bytes() == (tmp_path / "reference").read_bytes()
 
     @pytest.mark.parametrize("batch_size", [1, 3])
     def test_factored_gradients_train_bit_identically(self, tmp_path, monkeypatch, batch_size):
