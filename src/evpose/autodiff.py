@@ -1,10 +1,12 @@
 """Dense float64 tensors with reverse-mode differentiation and momentum SGD.
 
-The op catalogue is the minimum needed to express the pose-regression
-network and its loss: elementwise arithmetic, matmul, conv2d, maxpool2d,
-sigmoid/tanh/relu, reshape/concat/slice, sum/mean, an L2 norm, seeded
-inverted dropout and ``lstm_sequence``, a whole LSTM layer run over a
-sequence as one graph node with a hand-written backprop-through-time vjp.
+The op catalogue expresses the pose-regression network, its loss and the
+per-gate LSTM graph that tests compare against: elementwise arithmetic,
+matmul, conv2d, maxpool2d, sigmoid/tanh/relu, reshape/concat/slice, a full
+sum, an L2 norm, seeded inverted dropout and ``lstm_sequence``, a whole
+LSTM layer run over a sequence as one graph node with a hand-written
+backprop-through-time vjp. ``linear_pair`` is no fused op: it composes
+matmul and add.
 Gradients are accumulated within a single ``backward`` call; tensors are
 treated as immutable once they enter a graph.
 
@@ -165,37 +167,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def linear_pair(x: Tensor, w_x: Tensor, h: Tensor, w_h: Tensor, b: Tensor) -> Tensor:
-    """Fused x @ w_x + h @ w_h + b (one graph node for the LSTM gate hot path).
+    """x @ w_x + h @ w_h + b, composed from matmul and add in that order.
 
-    Bit-identical to composing matmul/add in that order.
+    No model code calls it. The name stays only because the benchmark's op
+    table wraps it, and goes once that table stops wrapping it (ROADMAP
+    item 1).
     """
-    xd, wxd, hd, whd, bd = x.data, w_x.data, h.data, w_h.data, b.data
-    if (
-        xd.ndim != 2
-        or hd.ndim != 2
-        or xd.shape[1] != wxd.shape[0]
-        or hd.shape[1] != whd.shape[0]
-        or wxd.shape[1] != whd.shape[1]
-        or bd.shape != (xd.shape[0], wxd.shape[1])
-    ):
-        raise ShapeError(
-            f"linear_pair: incompatible shapes {xd.shape}@{wxd.shape} + "
-            f"{hd.shape}@{whd.shape} + {bd.shape}"
-        )
-    out = xd @ wxd + hd @ whd
-    out += bd
-    needs = (x.requires_grad, w_x.requires_grad, h.requires_grad, w_h.requires_grad)
-
-    def vjp(g: Array) -> tuple:
-        return (
-            g @ wxd.T if needs[0] else None,
-            xd.T @ g if needs[1] else None,
-            g @ whd.T if needs[2] else None,
-            hd.T @ g if needs[3] else None,
-            g,
-        )
-
-    return _node(out, (x, w_x, h, w_h, b), vjp)
+    return add(add(matmul(x, w_x), matmul(h, w_h)), b)
 
 
 def lstm_forward(x: Array, w_x: Array, w_h: Array, b: Array) -> tuple[Array, Array, Array]:
@@ -428,13 +406,6 @@ def slice_along(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
 def sum_all(x: Tensor) -> Tensor:
     xd = x.data
     return _node(np.asarray(xd.sum()), (x,), lambda g: (np.full_like(xd, float(g)),))
-
-
-def mean_all(x: Tensor) -> Tensor:
-    xd = x.data
-    return _node(
-        np.asarray(xd.mean()), (x,), lambda g: (np.full_like(xd, float(g) / xd.size),)
-    )
 
 
 def l2norm(x: Tensor) -> Tensor:

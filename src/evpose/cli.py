@@ -53,7 +53,8 @@ def _read_text(path) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line_no = data.count(b"\n", 0, exc.start) + 1
+        # numbered as the parsers number lines: by str.splitlines
+        line_no = len((data[: exc.start].decode("utf-8") + "x").splitlines())
         raise ParseError(f"not UTF-8 text ({exc.reason}) in {path}", line_no) from None
 
 

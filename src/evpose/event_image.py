@@ -11,7 +11,7 @@ indices in.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BoundsError
@@ -20,13 +20,12 @@ from .events import EventWindow
 
 @dataclass(eq=False)
 class EventImage:
-    """h x w grid with values in {0.0, 0.5, 1.0}."""
+    """An (h, w) ``pixels`` grid with values in {0.0, 0.5, 1.0}; its shape
+    is the image size."""
 
     pixels: np.ndarray
-    h: int
-    w: int
-    source_window: int = -1
-    fraction_used: float = 1.0
+    source_window: int = field(default=-1, kw_only=True)
+    fraction_used: float = field(default=1.0, kw_only=True)
 
 
 def select_fraction(window: EventWindow, fraction: float) -> np.ndarray:
@@ -59,7 +58,7 @@ def build_image(
     newest[-1:] = True
     pixels = np.full((h, w), 0.5, dtype=np.float64)
     pixels.reshape(-1)[flat[newest]] = events["rho"][order[newest]] > 0
-    return EventImage(pixels, h, w, source_window, fraction_used)
+    return EventImage(pixels, source_window=source_window, fraction_used=fraction_used)
 
 
 def image_from_window(
@@ -76,7 +75,8 @@ def to_pgm(image: EventImage) -> str:
     """Render as an ASCII PGM (P2): 0 -> 0, 0.5 -> 128, 1 -> 255."""
     levels = np.where(image.pixels == 0.5, 128, np.where(image.pixels > 0.5, 255, 0))
     rows = "\n".join(" ".join(str(v) for v in row) for row in levels.tolist())
-    return f"P2\n{image.w} {image.h}\n255\n{rows}\n"
+    h, w = image.pixels.shape
+    return f"P2\n{w} {h}\n255\n{rows}\n"
 
 
 def write_pgm(image: EventImage, path) -> None:

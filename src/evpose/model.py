@@ -177,9 +177,9 @@ def cnn_forward(
 ) -> Tensor:
     """Conv/pool/relu blocks, flatten, FC to width F, dropout (training only)."""
     cfg = params.config
-    if (image.h, image.w) != (cfg.input_h, cfg.input_w):
+    if image.pixels.shape != (cfg.input_h, cfg.input_w):
         raise ShapeError(
-            f"image {image.h}x{image.w} does not match configured input "
+            f"image of shape {image.pixels.shape} does not match configured input "
             f"{cfg.input_h}x{cfg.input_w}"
         )
     t = ad.tensor(image.pixels.reshape(1, cfg.input_h, cfg.input_w))

@@ -103,19 +103,8 @@ class TestForwardValues:
         out = ad.maxpool2d(x, 2)
         assert out.data.tolist() == [[[5.0, 7.0], [13.0, 15.0]]]
 
-    def test_linear_pair_matches_composition(self):
-        rng = np.random.default_rng(2)
-        x = ad.tensor(rng.standard_normal((1, 5)))
-        wx = ad.tensor(rng.standard_normal((5, 4)))
-        h = ad.tensor(rng.standard_normal((1, 6)))
-        wh = ad.tensor(rng.standard_normal((6, 4)))
-        b = ad.tensor(rng.standard_normal((1, 4)))
-        fused = ad.linear_pair(x, wx, h, wh, b)
-        composed = ad.add(ad.add(ad.matmul(x, wx), ad.matmul(h, wh)), b)
-        assert np.array_equal(fused.data, composed.data)
-
     def test_lstm_sequence_matches_per_gate_graph(self):
-        # The same layer composed from linear_pair/slice/sigmoid/tanh/mul/add
+        # The same layer composed from matmul/add/slice/sigmoid/tanh/mul
         # nodes: forward values and every gradient agree.
         rng = np.random.default_rng(4)
         hidden, steps = 3, 5
@@ -130,7 +119,8 @@ class TestForwardValues:
             c = ad.tensor(np.zeros((1, hidden)))
             hs = []
             for t in range(steps):
-                a = ad.linear_pair(ad.slice_along(x, 0, t, t + 1), w_x, h, w_h, b)
+                x_t = ad.slice_along(x, 0, t, t + 1)
+                a = ad.add(ad.add(ad.matmul(x_t, w_x), ad.matmul(h, w_h)), b)
                 i, f, o, g = (ad.slice_along(a, 1, k * hidden, (k + 1) * hidden) for k in range(4))
                 i, f, o, g = ad.sigmoid(i), ad.sigmoid(f), ad.sigmoid(o), ad.tanh(g)
                 c = ad.add(ad.mul(f, c), ad.mul(i, g))
@@ -260,7 +250,7 @@ class TestBackward:
         "name",
         [
             "add", "sub", "mul", "matmul", "conv2d", "sigmoid", "tanh", "relu",
-            "reshape", "concat", "slice", "sum", "mean", "l2norm", "dropout",
+            "reshape", "concat", "slice", "sum", "l2norm", "dropout",
             "maxpool", "linear_pair", "lstm_sequence",
         ],
     )
@@ -307,9 +297,6 @@ class TestBackward:
         elif name == "sum":
             p = [randt(5)]
             f = lambda ps: ad.sum_all(ps[0])
-        elif name == "mean":
-            p = [randt(2, 7)]
-            f = lambda ps: ad.mean_all(ad.mul(ps[0], ps[0]))
         elif name == "l2norm":
             p = [ad.parameter(rng.standard_normal(6) + 3.0)]  # away from 0
             f = lambda ps: ad.l2norm(ps[0])

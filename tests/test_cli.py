@@ -265,6 +265,8 @@ _BAD_INPUTS = {
     "eval-header-nested-missing": ("eval-header", lambda h: h["optimizer"].pop("lr"), 2, "header.optimizer: missing key 'lr'"),
     "eval-header-unknown-key": ("eval-header", lambda h: h.update(note="x"), 2, "header: unknown key(s) 'note'"),
     "convert-events-not-utf8": ("convert-events", b"0.1 1 1 1\n0.2 2 \xff 1\n", 2, "line 2: not UTF-8 text"),
+    "convert-events-not-utf8-cr-lines": ("convert-events", b"0.1 1 1 1\r0.2 2 2 1\r0.3 3 \xff 1\r", 2,
+                                         "line 3: not UTF-8 text"),
     "convert-poses-not-utf8": ("convert-poses", b"0.0 0 0 0 0 0 0 1\n\n\x80 0 0 0 0 0 0 1\n", 2, "line 3: not UTF-8 text"),
     "convert-fraction-0": ("convert", ["--fraction", "0"], 1, "argument --fraction: must be in (0, 1]"),
     "convert-fraction-2": ("convert", ["--fraction", "2"], 1, "argument --fraction: must be in (0, 1]"),

@@ -14,7 +14,7 @@ from oracles import lstm_sequence_scalar, lstm_step_scalar
 
 
 def blank_image(h=8, w=8):
-    return EventImage(np.full((h, w), 0.5), h, w)
+    return EventImage(np.full((h, w), 0.5))
 
 
 def zero_layer(in_dim, hidden):
@@ -113,6 +113,10 @@ class TestCnnForward:
         params = m.init_params(m.toy_config(), seed=0)
         with pytest.raises(ShapeError):
             m.cnn_forward(blank_image(16, 16), params)
+        with pytest.raises(ShapeError):
+            m.predict(blank_image(4, 4), params)  # the 8x8 toy model
+        with pytest.raises(TypeError):  # the size is the pixels' shape alone
+            EventImage(np.full((4, 4), 0.5), 8, 8)
 
 
 class TestReshapeFeatures:
