@@ -208,12 +208,18 @@ def lstm_forward(x: Array, w_x: Array, w_h: Array, b: Array) -> tuple[Array, Arr
         a = acts[t]
         if t:
             a += hs[t - 1] @ w_h
-        a[: 3 * hidden] = _logistic(a[: 3 * hidden])
-        a[3 * hidden :] = np.tanh(a[3 * hidden :])
         i, f, o, g = a[:hidden], a[hidden : 2 * hidden], a[2 * hidden : 3 * hidden], a[3 * hidden :]
-        c = f * c + i * g
+        sig = a[: 3 * hidden]  # _logistic in place, step for step
+        sig *= 0.5
+        np.tanh(sig, out=sig)
+        sig += 1.0
+        sig *= 0.5
+        np.tanh(g, out=g)
+        c *= f
+        c += i * g
         cs[t] = c
-        hs[t] = o * np.tanh(c)
+        np.tanh(c, out=hs[t])
+        hs[t] *= o
     return hs, cs, acts
 
 
@@ -273,7 +279,11 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
         raise ShapeError(f"conv2d: channel mismatch input {xd.shape}, kernel {wd.shape}")
     if stride < 1 or padding < 0:
         raise ShapeError(f"conv2d: bad stride {stride} or padding {padding}")
-    xp = np.pad(xd, ((0, 0), (padding, padding), (padding, padding))) if padding else xd
+    if padding:
+        xp = np.zeros((cin, h_in + 2 * padding, w_in + 2 * padding))
+        xp[:, padding:-padding, padding:-padding] = xd
+    else:
+        xp = xd
     hp, wp = xp.shape[1], xp.shape[2]
     h_out = (hp - kh) // stride + 1
     w_out = (wp - kw) // stride + 1
@@ -312,30 +322,36 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
 
 
 def maxpool2d(x: Tensor, window: int) -> Tensor:
-    """Non-overlapping max pooling; spatial dims must be divisible by ``window``."""
+    """Non-overlapping max pooling; spatial dims must be divisible by ``window``.
+
+    Each output is the max of its window read in row-major order, and a tie
+    keeps the earlier element, as ``argmax`` would; a NaN in a window makes
+    its output NaN. The max is folded over the window² strided views of
+    ``x``. The index of each max, which routes the gradient, is built only
+    while a graph is being recorded, so under ``no_grad`` none is built.
+    """
     xd = x.data
     if xd.ndim != 3:
         raise ShapeError(f"maxpool2d: need (C,H,W) input, got {xd.shape}")
-    c, h, w = xd.shape
+    h, w = xd.shape[1:]
     if window < 1 or h % window or w % window:
         raise ShapeError(f"maxpool2d: window {window} does not tile input {xd.shape}")
-    ho, wo = h // window, w // window
-    patches = (
-        xd.reshape(c, ho, window, wo, window)
-        .transpose(0, 1, 3, 2, 4)
-        .reshape(c, ho, wo, window * window)
-    )
-    idx = patches.argmax(axis=3)
-    out = np.take_along_axis(patches, idx[..., None], axis=3)[..., 0]
+    out = xd[:, ::window, ::window].copy()
+    idx = np.zeros(out.shape, dtype=np.intp) if _grad_enabled and x.requires_grad else None
+    for j in range(1, window * window):
+        ky, kx = divmod(j, window)
+        view = xd[:, ky::window, kx::window]
+        if idx is not None:
+            idx[view > out] = j
+        # On a tie np.maximum returns its second operand, so ``out`` keeps
+        # the earlier element; the two can differ only in the sign of a zero.
+        np.maximum(view, out, out=out)
 
     def vjp(g: Array) -> tuple:
-        gp = np.zeros((c, ho, wo, window * window))
-        np.put_along_axis(gp, idx[..., None], g[..., None], axis=3)
-        gx = (
-            gp.reshape(c, ho, wo, window, window)
-            .transpose(0, 1, 3, 2, 4)
-            .reshape(c, h, w)
-        )
+        gx = np.empty_like(xd)  # the views tile it
+        for j in range(window * window):
+            ky, kx = divmod(j, window)
+            gx[:, ky::window, kx::window] = np.where(idx == j, g, 0.0)
         return (gx,)
 
     return _node(out, (x,), vjp)

@@ -275,10 +275,16 @@ def unit_quaternion(q_raw: np.ndarray) -> np.ndarray:
 
 
 def predict(image: EventImage, params: ModelParams) -> PosePrediction:
-    """Deterministic inference; the quaternion is normalized here only."""
+    """Deterministic inference; the quaternion is normalized here only.
+
+    Raises DegenerateOutputError for a non-finite position or a zero-norm
+    or non-finite quaternion.
+    """
     with ad.no_grad():
         out = forward(image, params, training=False)
     vec = out.data[0]
+    if not np.isfinite(vec[:3]).all():
+        raise DegenerateOutputError("network produced a non-finite position")
     p_hat = vec[:3].copy()
     q_raw = vec[3:7].copy()
     return PosePrediction(p_hat, q_raw, unit_quaternion(q_raw))

@@ -4,6 +4,8 @@ These deliberately avoid the library's own code paths: explicit loops
 instead of vectorized kernels, rotation matrices instead of quaternion
 algebra. ``train_accumulating`` is the exception: it checks only the
 training loop, so it reuses the library's forward, backward and SGD step.
+``maxpool_argmax`` and ``lstm_forward_allocating`` are the library's own
+earlier kernels, kept to show that their rewrites give the same bytes.
 """
 
 import math
@@ -150,6 +152,70 @@ def conv2d_loops(x, w, b, stride, padding):
                             acc += w[co, ci, ky, kx] * xp[ci, oy * stride + ky, ox * stride + kx]
                 out[co, oy, ox] = acc + b[co]
     return out
+
+
+def maxpool_loops(x, window, g):
+    """Max pooling and its vjp with explicit index loops. Each output takes
+    the first max of its window in row-major order (a NaN counts as the
+    max), and the vjp routes that output's ``g`` to it. Returns (out, gx)."""
+    c, h, w = x.shape
+    out = np.empty((c, h // window, w // window))
+    gx = np.zeros_like(x)
+    for ch in range(c):
+        for oy in range(h // window):
+            for ox in range(w // window):
+                best = None
+                for ky in range(window):
+                    for kx in range(window):
+                        at = (ch, oy * window + ky, ox * window + kx)
+                        v = x[at]
+                        if best is None or v > x[best] or (math.isnan(v) and not math.isnan(x[best])):
+                            best = at
+                out[ch, oy, ox] = x[best]
+                gx[best] = g[ch, oy, ox]
+    return out, gx
+
+
+def maxpool_argmax(x, window, g):
+    """The earlier vectorized pool and its vjp, kept as a byte-equality
+    reference: gather each window into a last axis, ``argmax`` it, and
+    scatter ``g`` back through the same layout. Returns (out, gx)."""
+    c, h, w = x.shape
+    ho, wo = h // window, w // window
+    patches = (
+        x.reshape(c, ho, window, wo, window)
+        .transpose(0, 1, 3, 2, 4)
+        .reshape(c, ho, wo, window * window)
+    )
+    idx = patches.argmax(axis=3)
+    out = np.take_along_axis(patches, idx[..., None], axis=3)[..., 0]
+    gp = np.zeros((c, ho, wo, window * window))
+    np.put_along_axis(gp, idx[..., None], g[..., None], axis=3)
+    gx = gp.reshape(c, ho, wo, window, window).transpose(0, 1, 3, 2, 4).reshape(c, h, w)
+    return out, gx
+
+
+def lstm_forward_allocating(x, w_x, w_h, b):
+    """The earlier ``autodiff.lstm_forward`` loop, which allocates a new
+    array for every gate activation and state, kept as a byte-equality
+    reference. Returns (hs, cs, acts) as that function does."""
+    s, hidden = x.shape[0], w_h.shape[0]
+    acts = x @ w_x
+    acts += b
+    cs = np.empty((s, hidden))
+    hs = np.empty((s, hidden))
+    c = np.zeros(hidden)
+    for t in range(s):
+        a = acts[t]
+        if t:
+            a += hs[t - 1] @ w_h
+        a[: 3 * hidden] = 0.5 * (np.tanh(0.5 * a[: 3 * hidden]) + 1.0)
+        a[3 * hidden :] = np.tanh(a[3 * hidden :])
+        i, f, o, g = a[:hidden], a[hidden : 2 * hidden], a[2 * hidden : 3 * hidden], a[3 * hidden :]
+        c = f * c + i * g
+        cs[t] = c
+        hs[t] = o * np.tanh(c)
+    return hs, cs, acts
 
 
 def train_accumulating(config, windows):

@@ -6,6 +6,7 @@ import pytest
 from evpose import autodiff as ad
 from evpose.errors import NumericError, ShapeError
 from oracles import conv2d_loops as conv2d_loop_oracle
+from oracles import lstm_forward_allocating, maxpool_argmax, maxpool_loops
 
 
 def fd_gradients(f, params, eps=1e-6):
@@ -25,6 +26,15 @@ def fd_gradients(f, params, eps=1e-6):
             gflat[i] = (f_plus - f_minus) / (2 * eps)
         grads.append(g)
     return grads
+
+
+def assert_pool_bytes_equal(x, window, reference):
+    """maxpool2d and its vjp give the same bytes as ``reference``."""
+    c, h, w = x.shape
+    g = np.random.default_rng(x.size).standard_normal((c, h // window, w // window))
+    out = ad.maxpool2d(ad.parameter(x), window)
+    for got, want in zip((out.data, out._vjp(g)[0]), reference(x, window, g)):
+        assert got.tobytes() == want.tobytes()
 
 
 def assert_backward_matches_fd(f, params, rtol=1e-6, eps=1e-6):
@@ -102,6 +112,57 @@ class TestForwardValues:
         x = ad.tensor(np.arange(16.0).reshape(1, 4, 4))
         out = ad.maxpool2d(x, 2)
         assert out.data.tolist() == [[[5.0, 7.0], [13.0, 15.0]]]
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("window", [1, 2, 3])
+    def test_maxpool_matches_loop_oracle_bytes(self, channels, window):
+        # ReLU'd small integers: most windows hold tied maxima, many of them zeros
+        rng = np.random.default_rng(10 * channels + window)
+        x = ad.relu(ad.tensor(rng.integers(-3, 4, size=(channels, 6, 6)).astype(float))).data
+        assert_pool_bytes_equal(x, window, maxpool_loops)
+
+    def test_maxpool_keeps_the_first_of_tied_signed_zeros(self):
+        # -0.0 == 0.0, so only the tie rule decides which sign comes out
+        rng = np.random.default_rng(12)
+        x = np.where(rng.random((2, 6, 6)) < 0.5, 0.0, -0.0)
+        assert_pool_bytes_equal(x, 2, maxpool_loops)
+        assert_pool_bytes_equal(x, 3, maxpool_loops)
+
+    def test_maxpool_nan_window_gives_nan(self):
+        x = np.random.default_rng(13).standard_normal((2, 4, 4))
+        x[0, 0, 1] = x[1, 3, 3] = np.nan  # not the first element of its window
+        got = ad.maxpool2d(ad.tensor(x), 2).data
+        want, _ = maxpool_loops(x, 2, np.zeros((2, 2, 2)))
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        assert np.isnan(got).sum() == 2
+        assert got[~np.isnan(got)].tobytes() == want[~np.isnan(want)].tobytes()
+
+    @pytest.mark.parametrize("shape", [(8, 64, 64), (16, 32, 32)], ids=["8x64x64", "16x32x32"])
+    def test_maxpool_matches_earlier_argmax_pool_bytes(self, shape):
+        # the desk model's two pooled feature maps, after ReLU
+        x = ad.relu(ad.tensor(np.random.default_rng(shape[0]).standard_normal(shape))).data
+        assert_pool_bytes_equal(x, 2, maxpool_argmax)
+
+    @pytest.mark.parametrize("scale", [0.2, 10.0], ids=["moderate", "saturating"])
+    def test_lstm_sequence_matches_earlier_allocating_loop_bytes(self, monkeypatch, scale):
+        # the desk model's first layer: 16 steps of width 16, H = 64; at
+        # scale 10 the gate pre-activations spread to about +-40
+        rng = np.random.default_rng(int(scale * 10))
+        hidden = 64
+        x = rng.standard_normal((16, 16))
+        weights = [rng.standard_normal(s) * scale for s in ((16, 4 * hidden), (hidden, 4 * hidden), (1, 4 * hidden))]
+        got, want = ad.lstm_forward(x, *weights), lstm_forward_allocating(x, *weights)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+        g = rng.standard_normal((16, hidden))
+
+        def vjp():
+            return ad.lstm_sequence(*(ad.parameter(a) for a in [x, *weights]))._vjp(g)
+
+        gradients = vjp()
+        monkeypatch.setattr(ad, "lstm_forward", lstm_forward_allocating)
+        for a, b in zip(gradients, vjp()):
+            assert a.tobytes() == b.tobytes()
 
     def test_lstm_sequence_matches_per_gate_graph(self):
         # The same layer composed from matmul/add/slice/sigmoid/tanh/mul

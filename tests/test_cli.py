@@ -209,6 +209,16 @@ class TestTrainEvalRobustness:
         )
         assert code == 3
 
+    def test_eval_non_finite_position_is_numeric_failure(self, trained, dataset_dir, tmp_path):
+        ckpt = pipeline.load_checkpoint(trained)
+        ckpt.params.tensors["head.out.b"].data[0, 0] = np.nan  # the quaternion stays finite
+        bad = tmp_path / "nan.ckpt"
+        pipeline.save_checkpoint(ckpt, bad)
+        out = tmp_path / "r.json"
+        code = main(["eval", "--ckpt", str(bad), "--data", str(dataset_dir), "--seed", "1", "--out", str(out)])
+        assert code == 3
+        assert not out.exists()
+
 
 _TRAIN = json.loads(config.to_json(pipeline.TrainConfig(model=m.toy_config(), epochs=1)))
 _SCENE = json.loads(config.to_json(synth.default_scene(duration=0.1)))

@@ -296,3 +296,15 @@ class TestPredict:
     def test_zero_norm_is_degenerate(self):
         with pytest.raises(DegenerateOutputError):
             m.unit_quaternion(np.zeros(4))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_position_is_degenerate(self, bad):
+        params = m.init_params(m.toy_config(), seed=4)
+        rng = np.random.default_rng(7)
+        for t in params.tensors.values():
+            if not t.data.any():  # small random biases keep the head alive
+                t.data[...] = rng.uniform(-0.1, 0.1, size=t.data.shape)
+        assert np.isfinite(m.predict(blank_image(), params).p_hat).all()
+        params.tensors["head.out.b"].data[0, 0] = bad
+        with pytest.raises(DegenerateOutputError, match="position"):
+            m.predict(blank_image(), params)
