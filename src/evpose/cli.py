@@ -96,11 +96,7 @@ def _cmd_convert(args) -> int:
 def _cmd_synth(args) -> int:
     with open(args.config, "rb") as f:
         config = from_json(synth.SceneConfig, f.read())
-    events_path, poses_path = synth.write_dataset(config, args.out)
-    with open(poses_path, "r", encoding="utf-8") as f:
-        n_poses = sum(1 for _ in f)
-    with open(events_path, "r", encoding="utf-8") as f:
-        n_events = sum(1 for _ in f)
+    n_events, n_poses = (text.count("\n") for text in synth.write_dataset(config, args.out))
     print(f"wrote {n_events} events and {n_poses} poses to {args.out}")
     return 0
 

@@ -7,6 +7,11 @@ masks emit one event each (+1 where an edge appears, -1 where it
 disappears) with timestamps jittered uniformly inside the interval. The
 output text parses losslessly through the event/pose readers.
 
+All frames are rendered together: every (frame, segment) row is projected,
+cut at the near plane and clipped in array passes of up to
+``_ROWS_PER_PASS`` rows, and each distinct rounded line of a pass is
+rasterized once. ``render_edge_frame`` is the same renderer with one frame.
+
 In a ``config.from_json`` scene file every ``SceneConfig`` key is
 required; ``Trajectory`` keys may be omitted and default to zero.
 """
@@ -22,6 +27,7 @@ from .errors import DataError
 from .events import EVENT_DTYPE, PoseLabel, canonicalize_quaternion, format_events, format_poses
 
 _Z_NEAR = 1e-3
+_ROWS_PER_PASS = 1 << 16  # (frame, segment) rows per array pass: bounds the renderer's temporaries
 
 
 @dataclass(frozen=True)
@@ -49,6 +55,11 @@ class SceneConfig:
     seed: int
 
     def __post_init__(self):
+        for name in ("rate_hz", "duration", "focal"):
+            if not math.isfinite(getattr(self, name)):
+                raise DataError(f"{name} must be finite, got {getattr(self, name)}")
+        if not math.isfinite(self.rate_hz * self.duration):
+            raise DataError(f"rate_hz * duration must be finite, got {self.rate_hz} * {self.duration}")
         if self.rate_hz <= 0.0:
             raise DataError(f"rate_hz must be positive, got {self.rate_hz}")
         if self.duration <= 0.0:
@@ -114,45 +125,19 @@ def pose_at(trajectory: Trajectory, t: float) -> tuple[np.ndarray, np.ndarray]:
     return p, quat_from_euler(*angles)
 
 
-def _clip_2d(x0, y0, x1, y1, xmax, ymax):
-    """Liang-Barsky clip of a segment to [0, xmax] x [0, ymax]; None if outside."""
-    dx, dy = x1 - x0, y1 - y0
-    t0, t1 = 0.0, 1.0
-    for p, q in (
-        (-dx, x0 - 0.0),
-        (dx, xmax - x0),
-        (-dy, y0 - 0.0),
-        (dy, ymax - y0),
-    ):
-        if p == 0.0:
-            if q < 0.0:
-                return None
-        else:
-            r = q / p
-            if p < 0.0:
-                if r > t1:
-                    return None
-                t0 = max(t0, r)
-            else:
-                if r < t0:
-                    return None
-                t1 = min(t1, r)
-    return (x0 + t0 * dx, y0 + t0 * dy, x0 + t1 * dx, y0 + t1 * dy)
-
-
-def _draw_line(mask: np.ndarray, x0: int, y0: int, x1: int, y1: int) -> None:
-    """Bresenham line; pixels outside the mask are ignored."""
-    h, w = mask.shape
+def _line_pixels(x0: int, y0: int, x1: int, y1: int, w: int, h: int) -> np.ndarray:
+    """Flat indices ``y * w + x`` of the Bresenham line's pixels inside a w x h image."""
     dx, dy = abs(x1 - x0), -abs(y1 - y0)
     sx = 1 if x0 < x1 else -1
     sy = 1 if y0 < y1 else -1
     err = dx + dy
     x, y = x0, y0
+    pixels = []
     while True:
         if 0 <= x < w and 0 <= y < h:
-            mask[y, x] = True
+            pixels.append(y * w + x)
         if x == x1 and y == y1:
-            return
+            return np.array(pixels, dtype=np.int64)
         e2 = 2 * err
         if e2 >= dy:
             err += dy
@@ -162,40 +147,93 @@ def _draw_line(mask: np.ndarray, x0: int, y0: int, x1: int, y1: int) -> None:
             y += sy
 
 
-def render_edge_frame(config: SceneConfig, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Binary edge mask of the wireframe seen from pose (p, q).
+def _clip_rows(
+    config: SceneConfig, positions: np.ndarray, rotations: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Project, cut and clip every (frame, segment) row of N poses at once.
 
-    Camera looks along +Z of its own frame; segments behind the camera are
-    clipped at the near plane.
+    ``positions`` (N, 3) and camera-to-world ``rotations`` (N, 3, 3). The
+    camera looks along +Z of its own frame; segments behind it are cut at
+    the near plane, the rest are clipped to the image (Liang-Barsky). Each
+    row goes through the same steps, in the same order, as one segment
+    drawn on its own. Returns the indices ``frame * n_segments + segment``
+    of the rows left inside the image and their clipped (x0, y0, x1, y1).
     """
-    rot_world_from_cam = quat_to_matrix(q)
-    rot_cam_from_world = rot_world_from_cam.T
-    cx = (config.sensor_w - 1) / 2.0
-    cy = (config.sensor_h - 1) / 2.0
-    mask = np.zeros((config.sensor_h, config.sensor_w), dtype=bool)
-    for a, b in config.segments:
-        pa = rot_cam_from_world @ (np.asarray(a, dtype=np.float64) - p)
-        pb = rot_cam_from_world @ (np.asarray(b, dtype=np.float64) - p)
-        za, zb = pa[2], pb[2]
-        if za < _Z_NEAR and zb < _Z_NEAR:
-            continue
-        if za < _Z_NEAR or zb < _Z_NEAR:
-            s = (_Z_NEAR - za) / (zb - za)
-            crossing = pa + s * (pb - pa)
-            if za < _Z_NEAR:
-                pa = crossing
-            else:
-                pb = crossing
-        ua = (config.focal * pa[0] / pa[2] + cx, config.focal * pa[1] / pa[2] + cy)
-        ub = (config.focal * pb[0] / pb[2] + cx, config.focal * pb[1] / pb[2] + cy)
-        clipped = _clip_2d(
-            ua[0], ua[1], ub[0], ub[1], config.sensor_w - 1.0, config.sensor_h - 1.0
-        )
-        if clipped is None:
-            continue
-        x0, y0, x1, y1 = clipped
-        _draw_line(mask, round(x0), round(y0), round(x1), round(y1))
-    return mask
+    w, h = config.sensor_w, config.sensor_h
+    ends = np.asarray(config.segments, dtype=np.float64).reshape(-1, 3)  # a0, b0, a1, b1, ...
+    # (a - p) @ R equals R.T @ (a - p) bit for bit; einsum does not.
+    cam = ((ends[None] - positions[:, None]) @ rotations).reshape(-1, 2, 3)
+    pa, pb = cam[:, 0], cam[:, 1]
+    behind_a, behind_b = pa[:, 2] < _Z_NEAR, pb[:, 2] < _Z_NEAR
+    keep = ~(behind_a & behind_b)
+    with np.errstate(all="ignore"):  # rows that turn non-finite are dropped or rejected below
+        cut = np.flatnonzero(keep & (behind_a | behind_b))
+        a, b = pa[cut], pb[cut]
+        s = (_Z_NEAR - a[:, 2]) / (b[:, 2] - a[:, 2])
+        crossing = a + s[:, None] * (b - a)
+        cut_a = behind_a[cut]
+        pa[cut[cut_a]] = crossing[cut_a]
+        pb[cut[~cut_a]] = crossing[~cut_a]
+
+        cx = (w - 1) / 2.0
+        cy = (h - 1) / 2.0
+        x0 = config.focal * pa[:, 0] / pa[:, 2] + cx
+        y0 = config.focal * pa[:, 1] / pa[:, 2] + cy
+        x1 = config.focal * pb[:, 0] / pb[:, 2] + cx
+        y1 = config.focal * pb[:, 1] / pb[:, 2] + cy
+
+        # Liang-Barsky against [0, w - 1] x [0, h - 1], one boundary at a time
+        dx, dy = x1 - x0, y1 - y0
+        t0, t1 = np.zeros_like(dx), np.ones_like(dx)
+        for p, q in ((-dx, x0), (dx, (w - 1.0) - x0), (-dy, y0), (dy, (h - 1.0) - y0)):
+            r = q / p
+            flat, neg = p == 0.0, p < 0.0
+            pos = ~flat & ~neg
+            keep &= ~((flat & (q < 0.0)) | (neg & (r > t1)) | (pos & (r < t0)))
+            t0 = np.where(neg & (r > t0), r, t0)
+            t1 = np.where(pos & (r < t1), r, t1)
+        rows = np.flatnonzero(keep)
+        t0, t1, x0, y0, dx, dy = (v[rows] for v in (t0, t1, x0, y0, dx, dy))
+        clipped = np.stack([x0 + t0 * dx, y0 + t0 * dy, x0 + t1 * dx, y0 + t1 * dy], axis=1)
+    finite = np.isfinite(clipped).all(axis=1)
+    if not finite.all():
+        segment = rows[np.argmin(finite)] % len(config.segments)
+        raise DataError(f"segment {segment} does not project to finite image coordinates")
+    return rows, clipped
+
+
+def _render_frames(config: SceneConfig, positions: np.ndarray, rotations: np.ndarray) -> np.ndarray:
+    """Binary edge masks (N, h, w) of the wireframe seen from N poses.
+
+    Frames are rendered in blocks of at most ``_ROWS_PER_PASS`` rows, which
+    bounds the memory besides the masks whatever N and the segment count.
+    Each distinct rounded line in a block is rasterized once and drawn into
+    every frame of the block that has it.
+    """
+    w, h = config.sensor_w, config.sensor_h
+    n_seg = len(config.segments)
+    masks = np.zeros(len(positions) * h * w, dtype=bool)
+    step = max(1, _ROWS_PER_PASS // n_seg)
+    for start in range(0, len(positions), step):
+        rows, clipped = _clip_rows(config, positions[start : start + step], rotations[start : start + step])
+        cache: dict[tuple[int, int, int, int], np.ndarray] = {}
+        lines = []
+        for key in map(tuple, np.rint(clipped).astype(np.int64).tolist()):
+            pixels = cache.get(key)
+            if pixels is None:
+                pixels = cache[key] = _line_pixels(*key, w, h)
+            lines.append(pixels)
+        if lines:
+            frame_offsets = (start + rows // n_seg) * (h * w)
+            sizes = np.fromiter(map(len, lines), np.int64, len(lines))
+            masks[np.concatenate(lines) + np.repeat(frame_offsets, sizes)] = True
+    return masks.reshape(-1, h, w)
+
+
+def render_edge_frame(config: SceneConfig, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Binary edge mask (h, w) of the wireframe seen from pose (p, q)."""
+    positions = np.asarray(p, dtype=np.float64)[None]
+    return _render_frames(config, positions, quat_to_matrix(q)[None])[0]
 
 
 def generate_dataset(config: SceneConfig) -> tuple[str, str]:
@@ -207,12 +245,12 @@ def generate_dataset(config: SceneConfig) -> tuple[str, str]:
         )
     dt = 1.0 / config.rate_hz
     times = [i * dt for i in range(n_samples)]
-    poses = []
-    masks = []
-    for t in times:
-        p, q = pose_at(config.trajectory, t)
-        poses.append(PoseLabel(t, p, q))
-        masks.append(render_edge_frame(config, p, q))
+    poses = [PoseLabel(t, *pose_at(config.trajectory, t)) for t in times]
+    masks = _render_frames(
+        config,
+        np.array([pose.p for pose in poses]),
+        np.array([quat_to_matrix(pose.q) for pose in poses]),
+    )
 
     rng = np.random.default_rng(config.seed)
     chunks = [np.empty(0, EVENT_DTYPE)]  # np.concatenate needs at least one array
@@ -264,15 +302,12 @@ def default_scene(seed: int = 7, rate_hz: float = 200.0, duration: float = 2.0) 
 
 
 def write_dataset(config: SceneConfig, out_dir) -> tuple[str, str]:
-    """Generate and write events.txt / groundtruth.txt; returns the paths."""
+    """Generate and write events.txt / groundtruth.txt; returns the two texts."""
     import os
 
     os.makedirs(out_dir, exist_ok=True)
-    events_text, poses_text = generate_dataset(config)
-    events_path = os.path.join(out_dir, "events.txt")
-    poses_path = os.path.join(out_dir, "groundtruth.txt")
-    with open(events_path, "w", encoding="utf-8") as f:
-        f.write(events_text)
-    with open(poses_path, "w", encoding="utf-8") as f:
-        f.write(poses_text)
-    return events_path, poses_path
+    texts = generate_dataset(config)
+    for name, text in zip(("events.txt", "groundtruth.txt"), texts):
+        with open(os.path.join(out_dir, name), "w", encoding="utf-8") as f:
+            f.write(text)
+    return texts

@@ -4,8 +4,9 @@ These deliberately avoid the library's own code paths: explicit loops
 instead of vectorized kernels, rotation matrices instead of quaternion
 algebra. ``train_accumulating`` is the exception: it checks only the
 training loop, so it reuses the library's forward, backward and SGD step.
-``maxpool_argmax`` and ``lstm_forward_allocating`` are the library's own
-earlier kernels, kept to show that their rewrites give the same bytes.
+``maxpool_argmax``, ``lstm_forward_allocating`` and
+``edge_frame_segments`` are the library's own earlier kernels, kept to show
+that their rewrites give the same bytes.
 """
 
 import math
@@ -131,6 +132,87 @@ def rotation_angle_deg(q1, q2):
     r_rel = quat_to_matrix(q1).T @ quat_to_matrix(q2)
     cos_theta = (np.trace(r_rel) - 1.0) / 2.0
     return math.degrees(math.acos(min(1.0, max(-1.0, cos_theta))))
+
+
+def _clip_2d(x0, y0, x1, y1, xmax, ymax):
+    """Liang-Barsky clip of a segment to [0, xmax] x [0, ymax]; None if outside."""
+    dx, dy = x1 - x0, y1 - y0
+    t0, t1 = 0.0, 1.0
+    for p, q in (
+        (-dx, x0 - 0.0),
+        (dx, xmax - x0),
+        (-dy, y0 - 0.0),
+        (dy, ymax - y0),
+    ):
+        if p == 0.0:
+            if q < 0.0:
+                return None
+        else:
+            r = q / p
+            if p < 0.0:
+                if r > t1:
+                    return None
+                t0 = max(t0, r)
+            else:
+                if r < t0:
+                    return None
+                t1 = min(t1, r)
+    return (x0 + t0 * dx, y0 + t0 * dy, x0 + t1 * dx, y0 + t1 * dy)
+
+
+def _draw_line(mask, x0, y0, x1, y1):
+    """Bresenham line; pixels outside the mask are ignored."""
+    h, w = mask.shape
+    dx, dy = abs(x1 - x0), -abs(y1 - y0)
+    sx = 1 if x0 < x1 else -1
+    sy = 1 if y0 < y1 else -1
+    err = dx + dy
+    x, y = x0, y0
+    while True:
+        if 0 <= x < w and 0 <= y < h:
+            mask[y, x] = True
+        if x == x1 and y == y1:
+            return
+        e2 = 2 * err
+        if e2 >= dy:
+            err += dy
+            x += sx
+        if e2 <= dx:
+            err += dx
+            y += sy
+
+
+def edge_frame_segments(config, p, rot_world_from_cam, z_near=1e-3):
+    """Edge mask of a ``synth.SceneConfig`` wireframe drawn one segment at a
+    time: project, cut at the near plane, clip and draw each in turn. This is
+    the library's earlier per-segment renderer."""
+    rot_cam_from_world = rot_world_from_cam.T
+    cx = (config.sensor_w - 1) / 2.0
+    cy = (config.sensor_h - 1) / 2.0
+    mask = np.zeros((config.sensor_h, config.sensor_w), dtype=bool)
+    for a, b in config.segments:
+        pa = rot_cam_from_world @ (np.asarray(a, dtype=np.float64) - p)
+        pb = rot_cam_from_world @ (np.asarray(b, dtype=np.float64) - p)
+        za, zb = pa[2], pb[2]
+        if za < z_near and zb < z_near:
+            continue
+        if za < z_near or zb < z_near:
+            s = (z_near - za) / (zb - za)
+            crossing = pa + s * (pb - pa)
+            if za < z_near:
+                pa = crossing
+            else:
+                pb = crossing
+        ua = (config.focal * pa[0] / pa[2] + cx, config.focal * pa[1] / pa[2] + cy)
+        ub = (config.focal * pb[0] / pb[2] + cx, config.focal * pb[1] / pb[2] + cy)
+        clipped = _clip_2d(
+            ua[0], ua[1], ub[0], ub[1], config.sensor_w - 1.0, config.sensor_h - 1.0
+        )
+        if clipped is None:
+            continue
+        x0, y0, x1, y1 = clipped
+        _draw_line(mask, round(x0), round(y0), round(x1), round(y1))
+    return mask
 
 
 def conv2d_loops(x, w, b, stride, padding):

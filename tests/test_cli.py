@@ -70,13 +70,14 @@ class TestUsage:
 
 
 class TestSynthAndConvert:
-    def test_synth_writes_dataset(self, tmp_path):
+    def test_synth_writes_dataset(self, tmp_path, capsys):
         config_path = tmp_path / "scene.json"
         config_path.write_text(config.to_json(synth.default_scene(seed=1, duration=0.1)))
         out = tmp_path / "ds"
         assert main(["synth", "--config", str(config_path), "--out", str(out)]) == 0
-        assert (out / "events.txt").exists()
-        assert (out / "groundtruth.txt").exists()
+        n_events, n_poses = (len((out / name).read_text().splitlines()) for name in ("events.txt", "groundtruth.txt"))
+        assert n_events > 0 and n_poses == 20
+        assert capsys.readouterr().out == f"wrote {n_events} events and {n_poses} poses to {out}\n"
 
     def test_synth_missing_config_is_data_error(self, tmp_path):
         code = main(["synth", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
@@ -269,6 +270,10 @@ _BAD_INPUTS = {
     "synth-2d-segment-point": ("synth", _edited(_SCENE, ["segments", 0, 0], [0.0, 0.0]), 2,
                                "SceneConfig.segments[0][0]: expected 3 items"),
     "synth-negative-seed": ("synth", _edited(_SCENE, ["seed"], -1), 2, "seed must be >= 0"),
+    "synth-sample-count-overflow": ("synth", _edited(json.loads(_edited(_SCENE, ["rate_hz"], 1e300)), ["duration"], 1e10),
+                                    2, "rate_hz * duration must be finite"),
+    "synth-segment-not-finite": ("synth", _edited(_SCENE, ["segments", 1], [[0.0, 0.0, 1e308], [0.0, 0.0, -1e308]]), 2,
+                                 "segment 1 does not project to finite image coordinates"),
     "synth-bad-json": ("synth", "{", 2, "SceneConfig: invalid JSON"),
     "synth-not-utf8": ("synth", b"\x80\x81", 2, "SceneConfig: invalid JSON"),
     "eval-header-no-model": ("eval-header", lambda h: h.pop("model"), 2, "header: missing key 'model'"),

@@ -3,10 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evpose import config, synth
 from evpose.errors import DataError
 from evpose.events import parse_events, parse_poses, window_events
+from oracles import edge_frame_segments
+from oracles import quat_to_matrix as oracle_rotation
+
+IDENTITY = np.array([0.0, 0.0, 0.0, 1.0])
 
 
 def single_segment_scene(segments, duration=0.02, rate_hz=200.0, trajectory=None, seed=0):
@@ -145,6 +151,12 @@ class TestGenerateDataset:
             single_segment_scene([((0, 0, 1), (1, 0, 1))], seed=-1)
         with pytest.raises(DataError):  # coordinates are stored as uint16
             dataclasses.replace(synth.default_scene(), sensor_w=65536)
+        for field in ("rate_hz", "duration", "focal"):
+            for bad in (math.nan, math.inf, -math.inf):
+                with pytest.raises(DataError, match=f"{field} must be finite"):
+                    dataclasses.replace(synth.default_scene(), **{field: bad})
+        with pytest.raises(DataError, match=r"rate_hz \* duration must be finite"):
+            dataclasses.replace(synth.default_scene(), rate_hz=1e300, duration=1e10)
 
     def test_json_round_trip(self):
         cfg = synth.default_scene()
@@ -161,3 +173,122 @@ class TestDefaultScene:
         windows, _ = window_events(events, poses)
         assert len(poses) == 50
         assert len(windows) >= 30  # dense motion: most intervals produce events
+
+
+def scene_poses(cfg):
+    dt = 1.0 / cfg.rate_hz
+    return [synth.pose_at(cfg.trajectory, i * dt) for i in range(round(cfg.rate_hz * cfg.duration))]
+
+
+def assert_masks_match_oracle(cfg, poses):
+    """The batched masks, and each single-frame mask, equal the per-segment renderer's bytes."""
+    batched = synth._render_frames(
+        cfg, np.array([p for p, _ in poses]), np.array([synth.quat_to_matrix(q) for _, q in poses])
+    )
+    assert batched.shape == (len(poses), cfg.sensor_h, cfg.sensor_w)
+    for mask, (p, q) in zip(batched, poses):
+        want = edge_frame_segments(cfg, p, oracle_rotation(q))
+        assert mask.tobytes() == want.tobytes()
+        assert synth.render_edge_frame(cfg, p, q).tobytes() == want.tobytes()
+
+
+class TestRendererOracle:
+    """The batched renderer against ``oracles.edge_frame_segments``, byte for byte."""
+
+    @pytest.mark.parametrize("rows_per_pass", [synth._ROWS_PER_PASS, 150], ids=["one-block", "34-blocks"])
+    def test_default_scene_two_seconds(self, rows_per_pass, monkeypatch):
+        monkeypatch.setattr(synth, "_ROWS_PER_PASS", rows_per_pass)
+        cfg = synth.default_scene(seed=7, duration=2.0)
+        assert_masks_match_oracle(cfg, scene_poses(cfg))
+
+    @pytest.mark.parametrize("rows_per_pass", [synth._ROWS_PER_PASS, 5, 1])
+    def test_moving_scene(self, rows_per_pass, monkeypatch):
+        monkeypatch.setattr(synth, "_ROWS_PER_PASS", rows_per_pass)
+        cfg = TestGenerateDataset().moving_scene(duration=0.3)
+        assert_masks_match_oracle(cfg, scene_poses(cfg))
+
+    @pytest.mark.parametrize(
+        "segment",
+        [
+            ((0.05, 0.0, 2.0), (0.05, 0.0, -2.0)),  # crosses the near plane, far end in front
+            ((-0.2, 0.1, -1.0), (0.3, -0.1, 1.5)),  # crosses the near plane, near end in front
+            ((-0.3, 0.0, 1e-3), (0.3, 0.2, 1e-3)),  # lies on the near plane
+            ((-0.3, 0.0, -1.0), (0.3, 0.0, -2.0)),  # wholly behind the camera
+            ((0.0, 0.0, 2.0), (-5.0, 0.1, 2.0)),  # leaves through the left border
+            ((0.0, 0.0, 2.0), (5.0, -0.1, 2.0)),  # leaves through the right border
+            ((0.0, 0.0, 2.0), (0.1, -5.0, 2.0)),  # leaves through the top border
+            ((0.0, 0.0, 2.0), (-0.1, 5.0, 2.0)),  # leaves through the bottom border
+            ((-5.0, -4.0, 2.0), (5.0, 4.5, 2.0)),  # crosses the whole image
+            ((-5.0, 3.0, 2.0), (-3.0, 5.0, 2.0)),  # passes outside a corner
+            ((0.2, -0.4, 2.0), (0.2, 0.4, 3.0)),  # vertical
+            ((-0.4, 0.25, 1.5), (0.4, 0.25, 1.5)),  # horizontal
+            ((-0.4, -0.9, 2.0), (0.4, -0.9, 2.0)),  # horizontal, on the top border
+            ((0.9, -0.4, 2.0), (0.9, 0.4, 2.0)),  # vertical, on the right border
+            ((0.1, 0.1, 2.0), (0.1, 0.1, 2.0)),  # zero length
+            ((-2.0, 0.0, 2.0), (-2.0, 0.0, 2.0)),  # zero length, outside the image
+        ],
+    )
+    def test_edge_cases(self, segment):
+        cfg = single_segment_scene([segment])
+        poses = [(np.zeros(3), IDENTITY)]
+        poses += [(np.array([0.05 * k, -0.03 * k, 0.1 * k]), synth.quat_from_euler(0.1 * k, -0.05 * k, 0.2 * k))
+                  for k in (1, 2, 3)]
+        assert_masks_match_oracle(cfg, poses)
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(
+        segments=st.lists(st.lists(st.floats(-3.0, 3.0), min_size=6, max_size=6), min_size=1, max_size=4),
+        poses=st.lists(st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6), min_size=1, max_size=4),
+        size=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+        focal=st.floats(1.0, 100.0),
+    )
+    def test_random_segments_and_poses(self, segments, poses, size, focal):
+        cfg = dataclasses.replace(
+            single_segment_scene([(tuple(s[:3]), tuple(s[3:])) for s in segments]),
+            sensor_w=size[0],
+            sensor_h=size[1],
+            focal=focal,
+        )
+        poses = [(np.array(v[:3]), synth.quat_from_euler(*(math.pi * a for a in v[3:]))) for v in poses]
+        assert_masks_match_oracle(cfg, poses)
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(
+        segments=st.lists(
+            st.tuples(*[st.integers(-24, 24)] * 4, st.sampled_from([-1.0, 0.5, 1.0, 2.0]), st.sampled_from([0.5, 1.0, 2.0])),
+            min_size=1,
+            max_size=4,
+        ),
+        size=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+        focal=st.sampled_from([1.0, 2.0]),
+    )
+    def test_grid_segments_hit_borders_and_ties(self, segments, size, focal):
+        """Endpoints on a quarter grid at power-of-two depths project exactly, so
+        lines lie on the image borders and rounding ties to even are common."""
+        cfg = dataclasses.replace(
+            single_segment_scene([((xa / 4, ya / 4, za), (xb / 4, yb / 4, zb)) for xa, ya, xb, yb, za, zb in segments]),
+            sensor_w=size[0],
+            sensor_h=size[1],
+            focal=focal,
+        )
+        assert_masks_match_oracle(cfg, [(np.zeros(3), IDENTITY)])
+
+    @pytest.mark.parametrize("duration, rows_per_pass", [(0.3, synth._ROWS_PER_PASS), (1.0, 100)])
+    def test_dataset_text_equals_text_from_oracle_masks(self, duration, rows_per_pass, monkeypatch):
+        monkeypatch.setattr(synth, "_ROWS_PER_PASS", rows_per_pass)
+        cfg = synth.default_scene(seed=11, duration=duration)
+        got = synth.generate_dataset(cfg)
+
+        def oracle_frames(config, positions, rotations):
+            return np.array([edge_frame_segments(config, p, r) for p, r in zip(positions, rotations)])
+
+        monkeypatch.setattr(synth, "_render_frames", oracle_frames)
+        assert got == synth.generate_dataset(cfg)
+
+    def test_non_finite_projection_is_data_error(self):
+        fine = ((-0.3, 0.0, 2.0), (0.3, 0.0, 2.0))
+        cfg = single_segment_scene([fine, ((0.0, 0.0, 1e308), (0.0, 0.0, -1e308))])
+        with pytest.raises(DataError, match="segment 1 does not project to finite image coordinates"):
+            synth.render_edge_frame(cfg, np.zeros(3), IDENTITY)
+        with pytest.raises(DataError, match="segment 1"):
+            synth.generate_dataset(cfg)
