@@ -2,7 +2,9 @@
 
 Subcommands: ``convert`` (events -> PGM event images + index CSV),
 ``synth`` (scene config -> dataset), ``train``, ``eval`` and
-``robustness``. Config files are read by ``config.from_json``.
+``robustness``. Config files are read by ``config.from_json``. ``eval``
+and ``robustness`` take the ``--config`` that ``train`` read and score the
+held-out side of its split, so they see no window the model trained on.
 
 Exit codes: 0 success, 1 usage error (an out-of-range argument too),
 2 data error, 3 numeric failure. Errors are reported on one line.
@@ -41,9 +43,7 @@ def _ranged(kind, ok, rule):
 
 
 _NEWEST_FRACTION = _ranged(float, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
-_TRAIN_FRACTION = _ranged(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
 _PIXELS = _ranged(int, lambda v: v >= 1, ">= 1")
-_SEED = _ranged(int, lambda v: v >= 0, ">= 0")
 
 
 def _read_text(path) -> str:
@@ -64,10 +64,22 @@ def _load_windows(events_path, poses_path, sensor_w, sensor_h):
     return window_events(events, poses)
 
 
-def _split(windows, kind, fraction, seed):
-    if kind == "novel":
-        return split_novel(windows, fraction)
-    return split_random(windows, fraction, seed)
+def _load_split(data_dir, config):
+    """Load a dataset directory and split its windows as a ``TrainConfig`` says.
+
+    Returns (train windows, test windows, empty intervals skipped).
+    """
+    windows, skipped = _load_windows(
+        os.path.join(data_dir, "events.txt"),
+        os.path.join(data_dir, "groundtruth.txt"),
+        config.model.input_w,
+        config.model.input_h,
+    )
+    if config.split == "novel":
+        train, test = split_novel(windows, config.split_fraction)
+    else:
+        train, test = split_random(windows, config.split_fraction, config.seed)
+    return train, test, skipped
 
 
 def _cmd_convert(args) -> int:
@@ -104,17 +116,9 @@ def _cmd_synth(args) -> int:
 def _cmd_train(args) -> int:
     with open(args.config, "rb") as f:
         config = from_json(pipeline.TrainConfig, f.read())
-    windows, skipped = _load_windows(
-        os.path.join(args.data, "events.txt"),
-        os.path.join(args.data, "groundtruth.txt"),
-        config.model.input_w,
-        config.model.input_h,
-    )
-    train_windows, test_windows = _split(
-        windows, config.split, config.split_fraction, config.seed
-    )
+    train_windows, test_windows, skipped = _load_split(args.data, config)
     print(
-        f"{len(windows)} windows ({skipped} empty intervals skipped); "
+        f"{len(train_windows) + len(test_windows)} windows ({skipped} empty intervals skipped); "
         f"training on {len(train_windows)}, holding out {len(test_windows)}"
     )
     ckpt = pipeline.train(config, train_windows)
@@ -126,21 +130,19 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _test_windows_for_eval(args, ckpt):
-    cfg = ckpt.params.config
-    windows, _ = _load_windows(
-        os.path.join(args.data, "events.txt"),
-        os.path.join(args.data, "groundtruth.txt"),
-        cfg.input_w,
-        cfg.input_h,
-    )
-    _, test_windows = _split(windows, args.split, args.fraction, args.seed)
-    return test_windows
+def _held_out(args):
+    """The checkpoint and the test windows of the split its train config made."""
+    with open(args.config, "rb") as f:
+        config = from_json(pipeline.TrainConfig, f.read())
+    ckpt = pipeline.load_checkpoint(args.ckpt)
+    if ckpt.params.config != config.model:
+        raise DataError(f"checkpoint {args.ckpt} holds a different model than {args.config}")
+    _, test_windows, _ = _load_split(args.data, config)
+    return ckpt, test_windows
 
 
 def _cmd_eval(args) -> int:
-    ckpt = pipeline.load_checkpoint(args.ckpt)
-    test_windows = _test_windows_for_eval(args, ckpt)
+    ckpt, test_windows = _held_out(args)
     report = evaluation.evaluate(ckpt.params, test_windows)
     json_path = args.out if args.out.endswith(".json") else args.out + ".json"
     csv_path = os.path.splitext(json_path)[0] + ".csv"
@@ -157,8 +159,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_robustness(args) -> int:
-    ckpt = pipeline.load_checkpoint(args.ckpt)
-    test_windows = _test_windows_for_eval(args, ckpt)
+    ckpt, test_windows = _held_out(args)
     table = evaluation.robustness_experiment(ckpt.params, test_windows)
     with open(args.out, "w", encoding="utf-8") as f:
         f.write(table.to_csv())
@@ -197,12 +198,10 @@ def build_parser() -> argparse.ArgumentParser:
         ("eval", _cmd_eval, "report path (.json; a .csv sibling is written too)"),
         ("robustness", _cmd_robustness, "table path (.csv; a .json sibling is written too)"),
     ):
-        p = sub.add_parser(name, help=f"{name} a checkpoint on a dataset's test split")
+        p = sub.add_parser(name, help=f"{name} a checkpoint on the test side of its train config's split")
         p.add_argument("--ckpt", required=True, help="checkpoint path")
         p.add_argument("--data", required=True, help="directory with events.txt and groundtruth.txt")
-        p.add_argument("--split", choices=("random", "novel"), default="random")
-        p.add_argument("--seed", type=_SEED, default=0, help="random-split seed")
-        p.add_argument("--fraction", type=_TRAIN_FRACTION, default=0.7, help="train fraction of the split")
+        p.add_argument("--config", required=True, help="the train config JSON the checkpoint was trained with")
         p.add_argument("--out", required=True, help=out_help)
         p.set_defaults(func=fn)
 

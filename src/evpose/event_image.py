@@ -11,7 +11,7 @@ indices in.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundsError
@@ -24,8 +24,6 @@ class EventImage:
     is the image size."""
 
     pixels: np.ndarray
-    source_window: int = field(default=-1, kw_only=True)
-    fraction_used: float = field(default=1.0, kw_only=True)
 
 
 def select_fraction(window: EventWindow, fraction: float) -> np.ndarray:
@@ -37,13 +35,7 @@ def select_fraction(window: EventWindow, fraction: float) -> np.ndarray:
     return window.events[n - math.ceil(fraction * n) :]
 
 
-def build_image(
-    events: np.ndarray,
-    h: int,
-    w: int,
-    source_window: int = -1,
-    fraction_used: float = 1.0,
-) -> EventImage:
+def build_image(events: np.ndarray, h: int, w: int) -> EventImage:
     """Paint ``EVENT_DTYPE`` events (assumed ascending by time) onto a fresh 0.5 grid."""
     x = events["x"].astype(np.intp)  # intp: y * w overflows uint16
     y = events["y"].astype(np.intp)
@@ -58,17 +50,14 @@ def build_image(
     newest[-1:] = True
     pixels = np.full((h, w), 0.5, dtype=np.float64)
     pixels.reshape(-1)[flat[newest]] = events["rho"][order[newest]] > 0
-    return EventImage(pixels, source_window=source_window, fraction_used=fraction_used)
+    return EventImage(pixels)
 
 
 def image_from_window(
     window: EventWindow, h: int, w: int, fraction: float = 1.0
 ) -> EventImage:
     """Build the event image for a window, optionally from its newest events only."""
-    selected = select_fraction(window, fraction)
-    return build_image(
-        selected, h, w, source_window=window.sequence_index, fraction_used=fraction
-    )
+    return build_image(select_fraction(window, fraction), h, w)
 
 
 def to_pgm(image: EventImage) -> str:

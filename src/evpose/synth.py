@@ -28,6 +28,7 @@ from .events import EVENT_DTYPE, PoseLabel, canonicalize_quaternion, format_even
 
 _Z_NEAR = 1e-3
 _ROWS_PER_PASS = 1 << 16  # (frame, segment) rows per array pass: bounds the renderer's temporaries
+_MAX_MASK_PIXELS = 1 << 29  # samples * sensor pixels: the masks and their frame-to-frame diff take a byte each
 
 
 @dataclass(frozen=True)
@@ -243,6 +244,11 @@ def generate_dataset(config: SceneConfig) -> tuple[str, str]:
         raise DataError(
             f"rate_hz * duration must give at least 2 samples, got {n_samples}"
         )
+    if n_samples * config.sensor_w * config.sensor_h > _MAX_MASK_PIXELS:
+        raise DataError(
+            f"{n_samples} samples of {config.sensor_w}x{config.sensor_h} pixels exceed "
+            f"the {_MAX_MASK_PIXELS} mask pixels a dataset may render"
+        )
     dt = 1.0 / config.rate_hz
     times = [i * dt for i in range(n_samples)]
     poses = [PoseLabel(t, *pose_at(config.trajectory, t)) for t in times]
@@ -252,19 +258,14 @@ def generate_dataset(config: SceneConfig) -> tuple[str, str]:
         np.array([quat_to_matrix(pose.q) for pose in poses]),
     )
 
-    rng = np.random.default_rng(config.seed)
-    chunks = [np.empty(0, EVENT_DTYPE)]  # np.concatenate needs at least one array
-    for i in range(1, n_samples):
-        changed = masks[i] != masks[i - 1]
-        ys, xs = np.nonzero(changed)  # row-major scan order
-        if ys.size == 0:
-            continue
-        interval = np.empty(ys.size, EVENT_DTYPE)
-        interval["t"] = times[i] - rng.random(ys.size) * dt  # lies in (times[i-1], times[i]]
-        interval["x"], interval["y"] = xs, ys
-        interval["rho"] = np.where(masks[i][ys, xs], 1, -1)
-        chunks.append(interval[np.argsort(interval["t"], kind="stable")])
-    events = np.concatenate(chunks)
+    # np.nonzero scans frame-major, then row-major; k is the interval (times[k], times[k + 1]]
+    k, ys, xs = np.nonzero(masks[1:] != masks[:-1])
+    events = np.empty(k.size, EVENT_DTYPE)
+    jitter = np.random.default_rng(config.seed).random(k.size) * dt
+    events["t"] = np.asarray(times)[k + 1] - jitter  # lies in the interval
+    events["x"], events["y"] = xs, ys
+    events["rho"] = np.where(masks[k + 1, ys, xs], 1, -1)
+    events = events[np.lexsort((events["t"], k))]  # by interval, then time; ties keep scan order
     return format_events(events), format_poses(poses)
 
 

@@ -4,8 +4,8 @@ These deliberately avoid the library's own code paths: explicit loops
 instead of vectorized kernels, rotation matrices instead of quaternion
 algebra. ``train_accumulating`` is the exception: it checks only the
 training loop, so it reuses the library's forward, backward and SGD step.
-``maxpool_argmax``, ``lstm_forward_allocating`` and
-``edge_frame_segments`` are the library's own earlier kernels, kept to show
+``maxpool_argmax``, ``lstm_forward_allocating``, ``edge_frame_segments``
+and ``interval_events`` are the library's own earlier kernels, kept to show
 that their rewrites give the same bytes.
 """
 
@@ -18,6 +18,7 @@ from evpose import autodiff as ad
 from evpose import model as m
 from evpose.errors import BoundsError, ParseError
 from evpose.event_image import image_from_window
+from evpose.events import EVENT_DTYPE
 from evpose.pipeline import Checkpoint
 
 
@@ -213,6 +214,28 @@ def edge_frame_segments(config, p, rot_world_from_cam, z_near=1e-3):
         x0, y0, x1, y1 = clipped
         _draw_line(mask, round(x0), round(y0), round(x1), round(y1))
     return mask
+
+
+def interval_events(masks, rate_hz, seed):
+    """``synth.generate_dataset``'s events from its edge masks, one interval
+    at a time: each pixel that toggles between masks i - 1 and i emits an
+    event at times[i] minus a uniform draw of up to one sample period, and
+    each interval's events are sorted stably by time. This is the library's
+    earlier per-interval loop."""
+    dt = 1.0 / rate_hz
+    times = [i * dt for i in range(len(masks))]
+    rng = np.random.default_rng(seed)
+    chunks = [np.empty(0, EVENT_DTYPE)]
+    for i in range(1, len(masks)):
+        ys, xs = np.nonzero(masks[i] != masks[i - 1])
+        if ys.size == 0:
+            continue
+        interval = np.empty(ys.size, EVENT_DTYPE)
+        interval["t"] = times[i] - rng.random(ys.size) * dt
+        interval["x"], interval["y"] = xs, ys
+        interval["rho"] = np.where(masks[i][ys, xs], 1, -1)
+        chunks.append(interval[np.argsort(interval["t"], kind="stable")])
+    return np.concatenate(chunks)
 
 
 def conv2d_loops(x, w, b, stride, padding):

@@ -13,9 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evpose import config, pipeline, synth
+from evpose import config, evaluation, pipeline, synth
 from evpose import model as m
 from evpose.cli import main
+from evpose.events import parse_events, parse_poses, split_random, window_events
 
 
 @pytest.fixture(scope="module")
@@ -122,12 +123,15 @@ class TestSynthAndConvert:
 
 
 @pytest.fixture(scope="module")
-def trained(dataset_dir, tmp_path_factory):
-    tmp = tmp_path_factory.mktemp("train")
-    ckpt = tmp / "model.ckpt"
-    config = tiny_train_config(tmp)
+def train_config(tmp_path_factory):
+    return tiny_train_config(tmp_path_factory.mktemp("config"))
+
+
+@pytest.fixture(scope="module")
+def trained(dataset_dir, train_config, tmp_path_factory):
+    ckpt = tmp_path_factory.mktemp("train") / "model.ckpt"
     code = main(
-        ["train", "--data", str(dataset_dir), "--config", str(config), "--out", str(ckpt)]
+        ["train", "--data", str(dataset_dir), "--config", str(train_config), "--out", str(ckpt)]
     )
     assert code == 0
     return ckpt
@@ -139,15 +143,14 @@ class TestTrainEvalRobustness:
         assert ckpt.epoch == 2
         assert len(ckpt.loss_history) == 2
 
-    def test_eval_writes_json_and_csv(self, trained, dataset_dir, tmp_path):
+    def test_eval_writes_json_and_csv(self, trained, train_config, dataset_dir, tmp_path):
         out = tmp_path / "report.json"
         code = main(
             [
                 "eval",
                 "--ckpt", str(trained),
                 "--data", str(dataset_dir),
-                "--split", "random",
-                "--seed", "1",
+                "--config", str(train_config),
                 "--out", str(out),
             ]
         )
@@ -157,13 +160,14 @@ class TestTrainEvalRobustness:
         csv_lines = (tmp_path / "report.csv").read_text().splitlines()
         assert len(csv_lines) == report["n_samples"] + 1
 
-    def test_robustness_writes_table(self, trained, dataset_dir, tmp_path):
+    def test_robustness_writes_table(self, trained, train_config, dataset_dir, tmp_path):
         out = tmp_path / "table.csv"
         code = main(
             [
                 "robustness",
                 "--ckpt", str(trained),
                 "--data", str(dataset_dir),
+                "--config", str(train_config),
                 "--out", str(out),
             ]
         )
@@ -172,29 +176,58 @@ class TestTrainEvalRobustness:
         assert len(lines) == 11  # header + 10 fractions
         assert json.loads((tmp_path / "table.json").read_text())["rows"][-1]["fraction"] == 1.0
 
-    def test_eval_missing_checkpoint_is_data_error(self, dataset_dir, tmp_path):
+    def test_eval_and_robustness_score_the_windows_training_held_out(
+        self, trained, train_config, dataset_dir, tmp_path
+    ):
+        windows, _ = window_events(
+            parse_events((dataset_dir / "events.txt").read_text(), 64, 64),
+            parse_poses((dataset_dir / "groundtruth.txt").read_text()),
+        )
+        held_out = split_random(windows, 0.7, 1)[1]  # train_config: seed 1, fraction 0.7
+        expected = evaluation.evaluate(pipeline.load_checkpoint(trained).params, held_out)
+        argv = ["--ckpt", str(trained), "--data", str(dataset_dir), "--config", str(train_config)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["eval", *argv, "--out", str(tmp_path / "report.json")]) == 0
+            assert main(["robustness", *argv, "--out", str(tmp_path / "table.csv")]) == 0
+        rows = [line.split(",") for line in (tmp_path / "report.csv").read_text().splitlines()[1:]]
+        assert [(float(p), float(o)) for _, p, o in rows] == expected.per_sample_errors
+        last = (tmp_path / "table.csv").read_text().splitlines()[-1].split(",")
+        assert [float(v) for v in last] == [1.0, expected.position.median, expected.orientation.median]
+
+    def test_config_of_another_model_is_data_error(self, trained, dataset_dir, tmp_path, capsys):
+        other = tiny_train_config(tmp_path, model=dataclasses.asdict(m.toy_config()))
+        for command in ("eval", "robustness"):
+            code = main([command, "--ckpt", str(trained), "--data", str(dataset_dir),
+                         "--config", str(other), "--out", str(tmp_path / "out")])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err == f"evpose: data error: checkpoint {trained} holds a different model than {other}\n"
+
+    def test_eval_missing_checkpoint_is_data_error(self, train_config, dataset_dir, tmp_path):
         code = main(
             [
                 "eval",
                 "--ckpt", str(tmp_path / "missing.ckpt"),
                 "--data", str(dataset_dir),
+                "--config", str(train_config),
                 "--out", str(tmp_path / "r.json"),
             ]
         )
         assert code == 2
 
-    def test_eval_checkpoint_without_model_is_data_error(self, trained, dataset_dir, tmp_path):
+    def test_eval_checkpoint_without_model_is_data_error(self, trained, train_config, dataset_dir, tmp_path):
         head, _, rest = trained.read_bytes().partition(b"\n")
         header = json.loads(head)
         del header["model"]
         bad = tmp_path / "no_model.ckpt"
         bad.write_bytes(json.dumps(header).encode() + b"\n" + rest)
         code = main(
-            ["eval", "--ckpt", str(bad), "--data", str(dataset_dir), "--out", str(tmp_path / "r.json")]
+            ["eval", "--ckpt", str(bad), "--data", str(dataset_dir), "--config", str(train_config),
+             "--out", str(tmp_path / "r.json")]
         )
         assert code == 2
 
-    def test_eval_corrupted_parameters_is_numeric_failure(self, trained, dataset_dir, tmp_path):
+    def test_eval_corrupted_parameters_is_numeric_failure(self, trained, train_config, dataset_dir, tmp_path):
         ckpt = pipeline.load_checkpoint(trained)
         ckpt.params.tensors["head.out.b"].data[:] = np.inf
         bad = tmp_path / "inf.ckpt"
@@ -204,19 +237,20 @@ class TestTrainEvalRobustness:
                 "eval",
                 "--ckpt", str(bad),
                 "--data", str(dataset_dir),
-                "--seed", "1",
+                "--config", str(train_config),
                 "--out", str(tmp_path / "r.json"),
             ]
         )
         assert code == 3
 
-    def test_eval_non_finite_position_is_numeric_failure(self, trained, dataset_dir, tmp_path):
+    def test_eval_non_finite_position_is_numeric_failure(self, trained, train_config, dataset_dir, tmp_path):
         ckpt = pipeline.load_checkpoint(trained)
         ckpt.params.tensors["head.out.b"].data[0, 0] = np.nan  # the quaternion stays finite
         bad = tmp_path / "nan.ckpt"
         pipeline.save_checkpoint(ckpt, bad)
         out = tmp_path / "r.json"
-        code = main(["eval", "--ckpt", str(bad), "--data", str(dataset_dir), "--seed", "1", "--out", str(out)])
+        code = main(["eval", "--ckpt", str(bad), "--data", str(dataset_dir), "--config", str(train_config),
+                     "--out", str(out)])
         assert code == 3
         assert not out.exists()
 
@@ -239,10 +273,11 @@ def _edited(base, path, value=_DROP):
     return json.dumps(d)
 
 
-# (command, payload, exit code, fragment of the message). A train/synth payload
-# is the config file's content, a convert-events/convert-poses payload the
-# bytes of that data file, an eval-header payload edits a trained
-# checkpoint's header, and an argument-range payload is extra arguments.
+# (command, payload, exit code, fragment of the message). A train, synth, eval
+# or robustness payload is the --config file's content, a
+# convert-events/convert-poses payload the bytes of that data file, an
+# eval-header payload edits a trained checkpoint's header, and a convert
+# payload is extra arguments.
 _BAD_INPUTS = {
     "train-unknown-key": ("train", _edited(_TRAIN, ["learning_rate"], 0.1), 2, "unknown key(s) 'learning_rate'"),
     "train-nested-unknown-key": ("train", _edited(_TRAIN, ["model", "depth"], 3), 2, "TrainConfig.model: unknown"),
@@ -272,6 +307,8 @@ _BAD_INPUTS = {
     "synth-negative-seed": ("synth", _edited(_SCENE, ["seed"], -1), 2, "seed must be >= 0"),
     "synth-sample-count-overflow": ("synth", _edited(json.loads(_edited(_SCENE, ["rate_hz"], 1e300)), ["duration"], 1e10),
                                     2, "rate_hz * duration must be finite"),
+    "synth-too-many-frames": ("synth", _edited(json.loads(_edited(_SCENE, ["rate_hz"], 1e6)), ["duration"], 10), 2,
+                              "10000000 samples of 64x64 pixels exceed"),
     "synth-segment-not-finite": ("synth", _edited(_SCENE, ["segments", 1], [[0.0, 0.0, 1e308], [0.0, 0.0, -1e308]]), 2,
                                  "segment 1 does not project to finite image coordinates"),
     "synth-bad-json": ("synth", "{", 2, "SceneConfig: invalid JSON"),
@@ -288,27 +325,31 @@ _BAD_INPUTS = {
     "convert-fraction-nan": ("convert", ["--fraction", "nan"], 1, "argument --fraction: must be in (0, 1]"),
     "convert-width-0": ("convert", ["--width", "0"], 1, "argument --width: must be >= 1"),
     "convert-height-str": ("convert", ["--height", "tall"], 1, "argument --height: invalid int value"),
-    "eval-fraction-1": ("eval", ["--fraction", "1"], 1, "argument --fraction: must be in (0, 1)"),
-    "eval-negative-seed": ("eval", ["--seed", "-1"], 1, "argument --seed: must be >= 0"),
-    "robustness-fraction-0": ("robustness", ["--fraction", "0"], 1, "argument --fraction: must be in (0, 1)"),
+    "eval-fraction-1": ("eval", _edited(_TRAIN, ["split_fraction"], 1), 2,
+                        "TrainConfig: split_fraction must be in (0, 1)"),
+    "eval-negative-seed": ("eval", _edited(_TRAIN, ["seed"], -1), 2, "TrainConfig: seed must be >= 0"),
+    "robustness-fraction-0": ("robustness", _edited(_TRAIN, ["split_fraction"], 0), 2,
+                              "TrainConfig: split_fraction must be in (0, 1)"),
 }
 
 
 @pytest.mark.parametrize("command, payload, code, fragment", _BAD_INPUTS.values(), ids=_BAD_INPUTS.keys())
 def test_bad_input_is_one_line_error(command, payload, code, fragment, request, dataset_dir, tmp_path, capsys):
     data = ["--data", str(dataset_dir), "--out", str(tmp_path / "out")]
-    if command in ("train", "synth"):
+    if command in ("train", "synth", "eval", "robustness"):
         path = tmp_path / "config.json"
         path.write_bytes(payload if isinstance(payload, bytes) else payload.encode())
-        argv = [command, "--config", str(path), *(data if command == "train" else data[2:])]
+        argv = [command, "--config", str(path), *(data[2:] if command == "synth" else data)]
+        if command in ("eval", "robustness"):
+            argv += ["--ckpt", str(tmp_path / "model.ckpt")]
     elif command == "eval-header":
         head, _, rest = request.getfixturevalue("trained").read_bytes().partition(b"\n")
         header = json.loads(head)
         payload(header)
         path = tmp_path / "bad.ckpt"
         path.write_bytes(json.dumps(header).encode() + b"\n" + rest)
-        argv = ["eval", "--ckpt", str(path), *data]
-    elif command.startswith("convert"):
+        argv = ["eval", "--ckpt", str(path), "--config", str(request.getfixturevalue("train_config")), *data]
+    else:  # convert
         events, poses = (str(dataset_dir / name) for name in ("events.txt", "groundtruth.txt"))
         if command != "convert":
             path = tmp_path / "data.txt"
@@ -316,8 +357,6 @@ def test_bad_input_is_one_line_error(command, payload, code, fragment, request, 
             events, poses = (str(path), poses) if command == "convert-events" else (events, str(path))
             payload = ["--width", "64", "--height", "64"]
         argv = ["convert", "--events", events, "--poses", poses, "--out", str(tmp_path / "img"), *payload]
-    else:  # eval / robustness argument ranges
-        argv = [command, "--ckpt", str(tmp_path / "model.ckpt"), *data, *payload]
     try:
         got = main(argv)
     except SystemExit as exc:
@@ -350,7 +389,7 @@ _TOKENS = [b"\xff", b"\x80", b"\n", b"\r", b"\r\n", b"\x0b", b"\xc2\x85", b"\xe2
 _DIGITS = [b"0", b"7", b"9"]
 # The commands that read each file.
 _READERS = {"events.txt": ("convert", "train", "eval"), "groundtruth.txt": ("convert", "train", "eval"),
-            "train.json": ("train",), "model.ckpt": ("eval",)}
+            "train.json": ("train", "eval"), "model.ckpt": ("eval",)}
 
 
 @settings(max_examples=200, deadline=None, database=None)
@@ -379,7 +418,8 @@ def test_mutated_files_through_main_exit_with_a_code(toy_files, data):
             "convert": ["convert", "--events", str(root / "events.txt"), "--poses", str(root / "groundtruth.txt"),
                         "--out", str(root / "img"), "--width", "8", "--height", "8"],
             "train": ["train", "--data", tmp, "--config", str(root / "train.json"), "--out", str(root / "new.ckpt")],
-            "eval": ["eval", "--ckpt", str(root / "model.ckpt"), "--data", tmp, "--out", str(root / "report.json")],
+            "eval": ["eval", "--ckpt", str(root / "model.ckpt"), "--data", tmp, "--config", str(root / "train.json"),
+                     "--out", str(root / "report.json")],
         }
         for command in _READERS[name]:
             err = io.StringIO()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from evpose.errors import BoundsError
-from evpose.event_image import build_image, image_from_window, select_fraction, to_pgm
+from evpose.event_image import build_image, select_fraction, to_pgm
 from evpose.events import EVENT_DTYPE, EventWindow, PoseLabel
 from oracles import latest_event_image as latest_event_oracle
 
@@ -111,12 +111,3 @@ class TestPgm:
         assert lines[2] == "255"
         assert lines[3].split() == ["128", "255"]
         assert lines[4].split() == ["0", "128"]
-
-
-class TestImageFromWindow:
-    def test_metadata_stamped(self):
-        window = make_window(events((0.0, 1, 1, 1)))
-        window.sequence_index = 17
-        img = image_from_window(window, 8, 8, fraction=0.5)
-        assert img.source_window == 17
-        assert img.fraction_used == 0.5

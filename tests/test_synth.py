@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from evpose import config, synth
 from evpose.errors import DataError
-from evpose.events import parse_events, parse_poses, window_events
-from oracles import edge_frame_segments
+from evpose.events import format_events, parse_events, parse_poses, window_events
+from oracles import edge_frame_segments, interval_events
 from oracles import quat_to_matrix as oracle_rotation
 
 IDENTITY = np.array([0.0, 0.0, 0.0, 1.0])
@@ -157,6 +157,39 @@ class TestGenerateDataset:
                     dataclasses.replace(synth.default_scene(), **{field: bad})
         with pytest.raises(DataError, match=r"rate_hz \* duration must be finite"):
             dataclasses.replace(synth.default_scene(), rate_hz=1e300, duration=1e10)
+
+    def test_sample_count_is_bounded_before_rendering(self, monkeypatch):
+        cfg = synth.default_scene(duration=0.1)  # 20 samples of 64x64
+        monkeypatch.setattr(synth, "_MAX_MASK_PIXELS", 20 * 64 * 64)
+        synth.generate_dataset(cfg)
+        monkeypatch.setattr(synth, "_MAX_MASK_PIXELS", 20 * 64 * 64 - 1)
+        with pytest.raises(DataError, match="20 samples of 64x64 pixels exceed"):
+            synth.generate_dataset(cfg)
+        monkeypatch.undo()
+        with pytest.raises(DataError, match="10000000 samples"):  # fails before building a pose
+            synth.generate_dataset(dataclasses.replace(cfg, rate_hz=1e6, duration=10.0))
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            synth.default_scene(seed=7),
+            synth.default_scene(seed=901, duration=0.5),
+            dataclasses.replace(synth.default_scene(seed=5, duration=0.3), sensor_w=8, sensor_h=8, focal=9.0),
+            dataclasses.replace(synth.default_scene(seed=2, duration=0.3), sensor_w=97, sensor_h=33, focal=15.0),
+        ],
+        ids=["default-2s", "default-0.5s", "8px", "97x33"],
+    )
+    def test_events_equal_the_per_interval_loop(self, cfg, monkeypatch):
+        rendered = []
+
+        def keep_masks(*args, render=synth._render_frames):
+            rendered.append(render(*args))
+            return rendered[-1]
+
+        monkeypatch.setattr(synth, "_render_frames", keep_masks)
+        events_text, _ = synth.generate_dataset(cfg)
+        expected = format_events(interval_events(rendered[0], cfg.rate_hz, cfg.seed))
+        assert events_text.splitlines() == expected.splitlines()  # a list diff names the first bad line
 
     def test_json_round_trip(self):
         cfg = synth.default_scene()
