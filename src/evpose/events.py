@@ -233,14 +233,21 @@ def parse_poses(text: str) -> list[PoseLabel]:
 
 
 def format_events(events: np.ndarray) -> str:
-    """Serialize an ``EVENT_DTYPE`` array back to the text format (round-trips exactly)."""
-    columns = (
-        events["t"].tolist(),
-        events["x"].tolist(),
-        events["y"].tolist(),
-        (events["rho"] > 0).astype(np.int8).tolist(),
-    )
-    return "".join(f"{t!r} {x} {y} {p}\n" for t, x, y, p in zip(*columns))
+    """Serialize an ``EVENT_DTYPE`` array back to the text format (round-trips exactly).
+
+    Each line is ``repr(t)`` followed by the tail ``" x y p\\n"``; the tail
+    of each distinct (x, y, p) is built once and the two columns of strings
+    are interleaved and joined.
+    """
+    codes = (events["x"].astype(np.int64) << 17) | (events["y"].astype(np.int64) << 1) | (events["rho"] > 0)
+    distinct, which = np.unique(codes, return_inverse=True)
+    xs, yp = np.divmod(distinct, 1 << 17)
+    ys, ps = np.divmod(yp, 2)
+    tails = np.array([f" {x} {y} {p}\n" for x, y, p in zip(xs.tolist(), ys.tolist(), ps.tolist())], dtype=object)
+    parts = [""] * (2 * len(events))
+    parts[0::2] = map(float.__repr__, events["t"].tolist())
+    parts[1::2] = tails[which].tolist()
+    return "".join(parts)
 
 
 def format_poses(poses: Sequence[PoseLabel]) -> str:

@@ -9,8 +9,15 @@ output text parses losslessly through the event/pose readers.
 
 All frames are rendered together: every (frame, segment) row is projected,
 cut at the near plane and clipped in array passes of up to
-``_ROWS_PER_PASS`` rows, and each distinct rounded line of a pass is
-rasterized once. ``render_edge_frame`` is the same renderer with one frame.
+``_ROWS_PER_PASS`` rows. The distinct rounded lines of a pass are
+rasterized once each, all in lockstep with the integer Bresenham steps,
+and scattered into the frames that hold them. ``render_edge_frame`` is the
+same renderer with one frame. Events are read from one flat scan of the
+frame-to-frame mask difference.
+
+A trajectory whose phase or position leaves the float range at a sample
+time is a ``DataError`` naming the field, raised before anything is
+rendered or written.
 
 In a ``config.from_json`` scene file every ``SceneConfig`` key is
 required; ``Trajectory`` keys may be omitted and default to zero.
@@ -42,6 +49,11 @@ class Trajectory:
     euler_amplitude_deg: tuple[float, float, float] = (0.0, 0.0, 0.0)
     euler_frequency_hz: tuple[float, float, float] = (0.0, 0.0, 0.0)
     euler_phase: tuple[float, float, float] = (0.0, 0.0, 0.0)
+
+    def __post_init__(self):
+        for name, values in vars(self).items():
+            if not all(math.isfinite(v) for v in values):
+                raise DataError(f"trajectory.{name} must be finite, got {values}")
 
 
 @dataclass(frozen=True)
@@ -126,26 +138,35 @@ def pose_at(trajectory: Trajectory, t: float) -> tuple[np.ndarray, np.ndarray]:
     return p, quat_from_euler(*angles)
 
 
-def _line_pixels(x0: int, y0: int, x1: int, y1: int, w: int, h: int) -> np.ndarray:
-    """Flat indices ``y * w + x`` of the Bresenham line's pixels inside a w x h image."""
-    dx, dy = abs(x1 - x0), -abs(y1 - y0)
-    sx = 1 if x0 < x1 else -1
-    sy = 1 if y0 < y1 else -1
+def _rasterize(lines: np.ndarray, w: int, h: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bresenham pixels of integer lines (L, 4) = (x0, y0, x1, y1), drawn in lockstep.
+
+    Every line runs the integer error steps of the scalar Bresenham loop at
+    once, one numpy step per pixel of the longest line; a line has
+    max(|x1 - x0|, |y1 - y0|) + 1 pixels. Returns the flat indices
+    ``y * w + x`` of the pixels inside the w x h image, line by line in
+    input order, and the number of them each line has.
+    """
+    x0, y0, x1, y1 = lines.T
+    dx, dy = np.abs(x1 - x0), -np.abs(y1 - y0)
+    lengths = np.maximum(dx, -dy) + 1
+    starts = np.cumsum(lengths) - lengths  # where each line's pixels start in the output
+    order = np.argsort(-lengths, kind="stable")  # longest first: the lines still drawing are a prefix
+    drawing = np.searchsorted(-lengths[order], -np.arange(lengths.max(initial=0)))  # lines with > step pixels
+    x, y, dx, dy, slots = x0[order], y0[order], dx[order], dy[order], starts[order]
+    sx, sy = np.where(x0 < x1, 1, -1)[order], np.where(y0 < y1, 1, -1)[order]
     err = dx + dy
-    x, y = x0, y0
-    pixels = []
-    while True:
-        if 0 <= x < w and 0 <= y < h:
-            pixels.append(y * w + x)
-        if x == x1 and y == y1:
-            return np.array(pixels, dtype=np.int64)
-        e2 = 2 * err
-        if e2 >= dy:
-            err += dy
-            x += sx
-        if e2 <= dx:
-            err += dx
-            y += sy
+    pixels = np.empty(lengths.sum(), np.int64)
+    for step, n in enumerate(drawing.tolist()):
+        xs, ys, e2 = x[:n], y[:n], 2 * err[:n]
+        inside = (xs >= 0) & (xs < w) & (ys >= 0) & (ys < h)
+        pixels[slots[:n] + step] = np.where(inside, ys * w + xs, -1)
+        step_x, step_y = e2 >= dy[:n], e2 <= dx[:n]
+        err[:n] += np.where(step_x, dy[:n], 0) + np.where(step_y, dx[:n], 0)
+        xs += np.where(step_x, sx[:n], 0)
+        ys += np.where(step_y, sy[:n], 0)
+    inside = pixels >= 0
+    return pixels[inside], np.add.reduceat(inside, starts, dtype=np.int64)
 
 
 def _clip_rows(
@@ -217,17 +238,19 @@ def _render_frames(config: SceneConfig, positions: np.ndarray, rotations: np.nda
     step = max(1, _ROWS_PER_PASS // n_seg)
     for start in range(0, len(positions), step):
         rows, clipped = _clip_rows(config, positions[start : start + step], rotations[start : start + step])
-        cache: dict[tuple[int, int, int, int], np.ndarray] = {}
-        lines = []
-        for key in map(tuple, np.rint(clipped).astype(np.int64).tolist()):
-            pixels = cache.get(key)
-            if pixels is None:
-                pixels = cache[key] = _line_pixels(*key, w, h)
-            lines.append(pixels)
-        if lines:
-            frame_offsets = (start + rows // n_seg) * (h * w)
-            sizes = np.fromiter(map(len, lines), np.int64, len(lines))
-            masks[np.concatenate(lines) + np.repeat(frame_offsets, sizes)] = True
+        # distinct lines by a lexsort, exact for any integer ends (rounding error can put one off the image)
+        ends = np.rint(clipped).astype(np.int64)
+        order = np.lexsort(ends.T)
+        ends_sorted = ends[order]
+        new_line = np.ones(len(order), dtype=bool)
+        new_line[1:] = (ends_sorted[1:] != ends_sorted[:-1]).any(axis=1)
+        line = np.empty_like(order)
+        line[order] = np.cumsum(new_line) - 1
+        pixels, counts = _rasterize(ends_sorted[new_line], w, h)
+        # each row takes its line's run of pixels, moved to the row's frame
+        sizes = counts[line]
+        runs = np.repeat(np.cumsum(counts)[line] - np.cumsum(sizes), sizes) + np.arange(sizes.sum())
+        masks[pixels[runs] + np.repeat((start + rows // n_seg) * (h * w), sizes)] = True
     return masks.reshape(-1, h, w)
 
 
@@ -235,6 +258,29 @@ def render_edge_frame(config: SceneConfig, p: np.ndarray, q: np.ndarray) -> np.n
     """Binary edge mask (h, w) of the wireframe seen from pose (p, q)."""
     positions = np.asarray(p, dtype=np.float64)[None]
     return _render_frames(config, positions, quat_to_matrix(q)[None])[0]
+
+
+def _check_phases(trajectory: Trajectory, times: np.ndarray) -> None:
+    """Raise a DataError naming the frequency whose phase ``2 pi f t + phase``
+    leaves the float range at a sample time.
+
+    numpy forms each phase with the IEEE operations of ``pose_at``, in its
+    order, so this finds exactly the samples where ``math.sin`` would fail
+    or return NaN. With finite phases every Euler angle is finite too.
+    """
+    for name, phases in (
+        ("position_frequency_hz", trajectory.position_phase),
+        ("euler_frequency_hz", trajectory.euler_phase),
+    ):
+        frequencies, phases = np.asarray(getattr(trajectory, name))[:, None], np.asarray(phases)[:, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            args = 2.0 * math.pi * frequencies * times + phases
+        overflow = np.argwhere(~np.isfinite(args))
+        if overflow.size:
+            axis, i = overflow[0]
+            raise DataError(
+                f"trajectory.{name}[{axis}] makes the phase 2*pi*f*t + phase non-finite at t = {float(times[i])!r}"
+            )
 
 
 def generate_dataset(config: SceneConfig) -> tuple[str, str]:
@@ -251,20 +297,28 @@ def generate_dataset(config: SceneConfig) -> tuple[str, str]:
         )
     dt = 1.0 / config.rate_hz
     times = [i * dt for i in range(n_samples)]
+    sample_times = np.asarray(times)
+    _check_phases(config.trajectory, sample_times)
     poses = [PoseLabel(t, *pose_at(config.trajectory, t)) for t in times]
-    masks = _render_frames(
-        config,
-        np.array([pose.p for pose in poses]),
-        np.array([quat_to_matrix(pose.q) for pose in poses]),
-    )
+    positions = np.array([pose.p for pose in poses])
+    overflow = np.argwhere(~np.isfinite(positions))
+    if overflow.size:
+        i, axis = overflow[0]
+        raise DataError(
+            f"trajectory.position_base[{axis}] + position_amplitude[{axis}] makes the position non-finite "
+            f"at t = {times[i]!r}"
+        )
+    masks = _render_frames(config, positions, np.array([quat_to_matrix(pose.q) for pose in poses]))
 
-    # np.nonzero scans frame-major, then row-major; k is the interval (times[k], times[k + 1]]
-    k, ys, xs = np.nonzero(masks[1:] != masks[:-1])
+    # flatnonzero scans frame-major, then row-major; k is the interval (times[k], times[k + 1]]
+    frame = config.sensor_h * config.sensor_w
+    toggled = np.flatnonzero(masks[1:] != masks[:-1])
+    k, pixel = np.divmod(toggled, frame)
     events = np.empty(k.size, EVENT_DTYPE)
     jitter = np.random.default_rng(config.seed).random(k.size) * dt
-    events["t"] = np.asarray(times)[k + 1] - jitter  # lies in the interval
-    events["x"], events["y"] = xs, ys
-    events["rho"] = np.where(masks[k + 1, ys, xs], 1, -1)
+    events["t"] = sample_times[k + 1] - jitter  # lies in the interval
+    events["y"], events["x"] = np.divmod(pixel, config.sensor_w)
+    events["rho"] = np.where(masks.reshape(-1)[toggled + frame], 1, -1)
     events = events[np.lexsort((events["t"], k))]  # by interval, then time; ties keep scan order
     return format_events(events), format_poses(poses)
 
@@ -306,8 +360,8 @@ def write_dataset(config: SceneConfig, out_dir) -> tuple[str, str]:
     """Generate and write events.txt / groundtruth.txt; returns the two texts."""
     import os
 
-    os.makedirs(out_dir, exist_ok=True)
     texts = generate_dataset(config)
+    os.makedirs(out_dir, exist_ok=True)
     for name, text in zip(("events.txt", "groundtruth.txt"), texts):
         with open(os.path.join(out_dir, name), "w", encoding="utf-8") as f:
             f.write(text)

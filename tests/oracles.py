@@ -4,9 +4,9 @@ These deliberately avoid the library's own code paths: explicit loops
 instead of vectorized kernels, rotation matrices instead of quaternion
 algebra. ``train_accumulating`` is the exception: it checks only the
 training loop, so it reuses the library's forward, backward and SGD step.
-``maxpool_argmax``, ``lstm_forward_allocating``, ``edge_frame_segments``
-and ``interval_events`` are the library's own earlier kernels, kept to show
-that their rewrites give the same bytes.
+``maxpool_argmax``, ``lstm_forward_allocating``, ``edge_frame_segments``,
+``interval_events`` and ``format_events_lines`` are the library's own
+earlier kernels, kept to show that their rewrites give the same bytes.
 """
 
 import math
@@ -100,6 +100,19 @@ def parse_events_lines(text, sensor_w, sensor_h):
     if non_monotone:
         warnings.warn(f"{non_monotone} event(s) with non-monotone timestamps", stacklevel=2)
     return events
+
+
+def format_events_lines(events):
+    """The events text built one f-string per line: ``repr(t) x y p``, with
+    p 1 for rho > 0 and 0 otherwise. This is the library's earlier
+    ``format_events``."""
+    columns = (
+        events["t"].tolist(),
+        events["x"].tolist(),
+        events["y"].tolist(),
+        (events["rho"] > 0).astype(np.int8).tolist(),
+    )
+    return "".join(f"{t!r} {x} {y} {p}\n" for t, x, y, p in zip(*columns))
 
 
 def latest_event_image(events, h, w):

@@ -5,6 +5,8 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -69,6 +71,12 @@ class TestUsage:
             main(["synth", "--out", "somewhere"])
         assert exc.value.code == 1
 
+    def test_runs_as_a_module_from_the_source_tree(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        run = subprocess.run([sys.executable, "-m", "evpose", "--help"], env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert "synth" in run.stdout
+
 
 class TestSynthAndConvert:
     def test_synth_writes_dataset(self, tmp_path, capsys):
@@ -79,6 +87,16 @@ class TestSynthAndConvert:
         n_events, n_poses = (len((out / name).read_text().splitlines()) for name in ("events.txt", "groundtruth.txt"))
         assert n_events > 0 and n_poses == 20
         assert capsys.readouterr().out == f"wrote {n_events} events and {n_poses} poses to {out}\n"
+
+    def test_synth_trajectory_overflow_writes_nothing(self, tmp_path):
+        scene = synth.default_scene(duration=0.1)
+        trajectory = dataclasses.replace(scene.trajectory, position_base=(1.7e308, 0.0, 0.0),
+                                         position_amplitude=(1.7e308, 0.0, 0.0))
+        config_path = tmp_path / "scene.json"
+        config_path.write_text(config.to_json(dataclasses.replace(scene, trajectory=trajectory)))
+        out = tmp_path / "ds"
+        assert main(["synth", "--config", str(config_path), "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_synth_missing_config_is_data_error(self, tmp_path):
         code = main(["synth", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
@@ -311,6 +329,11 @@ _BAD_INPUTS = {
                               "10000000 samples of 64x64 pixels exceed"),
     "synth-segment-not-finite": ("synth", _edited(_SCENE, ["segments", 1], [[0.0, 0.0, 1e308], [0.0, 0.0, -1e308]]), 2,
                                  "segment 1 does not project to finite image coordinates"),
+    "synth-phase-overflow": ("synth", _edited(_SCENE, ["trajectory", "position_frequency_hz"], [1e308, 0, 0]), 2,
+                             "trajectory.position_frequency_hz[0] makes the phase 2*pi*f*t + phase non-finite"),
+    "synth-position-overflow": ("synth", _edited(json.loads(_edited(_SCENE, ["trajectory", "position_base"], [1.7e308, 0, 0])),
+                                                 ["trajectory", "position_amplitude"], [1.7e308, 0, 0]), 2,
+                                "trajectory.position_base[0] + position_amplitude[0] makes the position non-finite"),
     "synth-bad-json": ("synth", "{", 2, "SceneConfig: invalid JSON"),
     "synth-not-utf8": ("synth", b"\x80\x81", 2, "SceneConfig: invalid JSON"),
     "eval-header-no-model": ("eval-header", lambda h: h.pop("model"), 2, "header: missing key 'model'"),

@@ -26,7 +26,7 @@ from evpose.events import (
     split_random,
     window_events,
 )
-from oracles import parse_events_lines
+from oracles import format_events_lines, parse_events_lines
 
 
 def events(*rows):
@@ -179,6 +179,26 @@ def test_mid_line_break_is_two_lines(brk):
     with pytest.raises(ParseError) as exc:
         parse_events(f"0.5 1 1 1\n1.0 2{brk}3 1\n", _SENSOR_W, _SENSOR_H)
     assert exc.value.line_no == 2
+
+
+_COORDS = st.one_of(st.integers(0, 3), st.integers(0, 65535))  # small values repeat, so tails are shared
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.one_of(st.floats(min_value=0.0, allow_infinity=False), st.sampled_from([-0.0, 5e-324, 1e-5, 1e16, 1e22])),
+            _COORDS,
+            _COORDS,
+            st.sampled_from([-1, 1]),
+        ),
+        max_size=40,
+    )
+)
+def test_format_events_matches_per_line_oracle(rows):
+    evs = np.array(rows, dtype=EVENT_DTYPE)
+    assert format_events(evs) == format_events_lines(evs)
 
 
 class TestParsePoses:

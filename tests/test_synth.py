@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from evpose import config, synth
 from evpose.errors import DataError
 from evpose.events import format_events, parse_events, parse_poses, window_events
-from oracles import edge_frame_segments, interval_events
+from oracles import _draw_line, edge_frame_segments, interval_events
 from oracles import quat_to_matrix as oracle_rotation
 
 IDENTITY = np.array([0.0, 0.0, 0.0, 1.0])
@@ -157,6 +157,12 @@ class TestGenerateDataset:
                     dataclasses.replace(synth.default_scene(), **{field: bad})
         with pytest.raises(DataError, match=r"rate_hz \* duration must be finite"):
             dataclasses.replace(synth.default_scene(), rate_hz=1e300, duration=1e10)
+
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(synth.Trajectory)])
+    def test_trajectory_values_must_be_finite(self, field):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DataError, match=f"trajectory.{field} must be finite"):
+                synth.Trajectory(**{field: (0.0, bad, 0.0)})
 
     def test_sample_count_is_bounded_before_rendering(self, monkeypatch):
         cfg = synth.default_scene(duration=0.1)  # 20 samples of 64x64
@@ -316,7 +322,46 @@ class TestRendererOracle:
             return np.array([edge_frame_segments(config, p, r) for p, r in zip(positions, rotations)])
 
         monkeypatch.setattr(synth, "_render_frames", oracle_frames)
-        assert got == synth.generate_dataset(cfg)
+        want = synth.generate_dataset(cfg)
+        for got_text, want_text in zip(got, want):  # list diffs name the first bad line, fast
+            assert got_text.splitlines() == want_text.splitlines()
+
+    @pytest.mark.parametrize("w, h", [(1, 1), (5, 3), (8, 8)])
+    def test_rasterizer_draws_every_small_line_as_bresenham(self, w, h):
+        """All lines with ends in [-3, 8]^2 at once: off-image ends, zero length, every octant."""
+        span = np.arange(-3, 9)
+        lines = np.stack(np.meshgrid(span, span, span, span, indexing="ij"), axis=-1).reshape(-1, 4)
+        pixels, counts = synth._rasterize(lines, w, h)
+        assert counts.sum() == pixels.size
+        for line, run in zip(lines.tolist(), np.split(pixels, np.cumsum(counts)[:-1])):
+            want = np.zeros((h, w), dtype=bool)
+            _draw_line(want, *line)
+            got = np.zeros(h * w, dtype=bool)
+            got[run] = True
+            assert got.tobytes() == want.tobytes(), line
+
+    def test_every_segment_behind_the_camera_in_one_row_passes(self, monkeypatch):
+        """Every pass clips to zero rows; the events text is empty and the poses text unchanged."""
+        monkeypatch.setattr(synth, "_ROWS_PER_PASS", 1)
+        scene = synth.default_scene(seed=3, duration=0.2)
+        behind = tuple(((ax, ay, -az), (bx, by, -bz)) for (ax, ay, az), (bx, by, bz) in scene.segments)
+        events_text, poses_text = synth.generate_dataset(dataclasses.replace(scene, segments=behind))
+        assert events_text == ""
+        assert poses_text == synth.generate_dataset(scene)[1]
+
+    def test_clip_rounding_off_the_image_draws_as_the_oracle(self):
+        """At a focal of 1e16 pixels rounding error puts clipped ends past the
+        left border; two such lines that differ only in their in-image end
+        must still be told apart."""
+        far = (-0.441482471898079, -1.3251693541021439e-15, 0.691747468160742)
+        segments = [
+            ((0.4965270711067651, -5.896638088997189e-16, 0.633696241461974), far),
+            ((0.4636302275539709, -4.847268035528276e-16, 0.5895262868562773), far),
+        ]
+        cfg = dataclasses.replace(single_segment_scene(segments), focal=1e16)
+        rows, clipped = synth._clip_rows(cfg, np.zeros((1, 3)), np.eye(3)[None])
+        assert np.rint(clipped).tolist() == [[62.0, 17.0, -1.0, 17.0], [63.0, 17.0, -1.0, 17.0]]
+        assert_masks_match_oracle(cfg, [(np.zeros(3), IDENTITY)])
 
     def test_non_finite_projection_is_data_error(self):
         fine = ((-0.3, 0.0, 2.0), (0.3, 0.0, 2.0))
