@@ -35,6 +35,7 @@ from .events import (
     EVENT_DTYPE,
     EventWindow,
     PoseLabel,
+    Poses,
     canonicalize_quaternion,
     format_events,
     format_poses,

@@ -9,8 +9,9 @@ Text formats:
   strictly increasing timestamps.
 
 A parsed event stream is one numpy structured array of ``EVENT_DTYPE``
-(13 bytes per event). A window is a slice of it: a view, unless the stream
-had to be sorted by time first. Events are read by numpy's C reader when
+(13 bytes per event), and a parsed pose stream a ``Poses`` of three
+columns. A window is a slice of the events: a view, unless the stream had
+to be sorted by time first. Both formats are read by numpy's C reader when
 the text is plain ASCII; anything that reader refuses, and any value the
 vectorised checks reject, sends the whole text through the per-line
 parser, which raises the error of the first bad line (with its line
@@ -19,7 +20,10 @@ number) or accepts the spellings Python's ``float``/``int`` accept
 
 Quaternions are normalized to unit length and sign-canonicalized (qw >= 0)
 at ingestion so that Euclidean quaternion distances live on a single
-hemisphere of the double cover.
+hemisphere of the double cover. The columnar reader only flips the sign
+of whole rows; a text with a quaternion whose norm is not surely within
+1e-12 of 1, or whose qw is 0, goes through the per-line parser, so both
+readers give the same bytes.
 """
 
 from __future__ import annotations
@@ -57,6 +61,23 @@ class PoseLabel:
     t: float
     p: np.ndarray
     q: np.ndarray
+
+
+@dataclass(eq=False)
+class Poses:
+    """A pose stream as columns: times ``t`` (n,), positions ``p`` (n, 3)
+    and canonical unit quaternions ``q`` (n, 4). ``poses[i]`` is the
+    PoseLabel of row i, whose arrays are views of the columns."""
+
+    t: np.ndarray
+    p: np.ndarray
+    q: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, i: int) -> PoseLabel:
+        return PoseLabel(float(self.t[i]), self.p[i], self.q[i])
 
 
 @dataclass(eq=False)
@@ -124,10 +145,10 @@ def parse_events(text: str, sensor_w: int, sensor_h: int) -> np.ndarray:
     return events
 
 
-def _read_events(text: str, sensor_w: int, sensor_h: int) -> np.ndarray | None:
-    """The events of ``text`` read by np.loadtxt, or None when the per-line
-    parser must decide: non-ASCII text, a break np.loadtxt does not see, a
-    read error or warning, or a value outside the format's ranges."""
+def _load_text(text: str, dtype, ndmin: int) -> np.ndarray | None:
+    """``text`` read by np.loadtxt, or None when the per-line parser must
+    decide: non-ASCII text, a break np.loadtxt does not see, or a read
+    error or warning."""
     if not text.isascii() or any(c in text for c in _SPLITLINES_ONLY_BREAKS):
         return None
     try:
@@ -136,14 +157,23 @@ def _read_events(text: str, sensor_w: int, sensor_h: int) -> np.ndarray | None:
             # Bytes: a StringIO would hold the text as 4 bytes per character.
             # A value that does not fit its field (x = 70000, p = 300) is a
             # read error, so nothing wraps around.
-            events = np.loadtxt(
+            return np.loadtxt(
                 io.BytesIO(text.encode("ascii")),
-                dtype=EVENT_DTYPE,
+                dtype=dtype,
                 comments=None,
                 encoding="ascii",
-                ndmin=1,
+                ndmin=ndmin,
             )
     except (ValueError, Warning):
+        return None
+
+
+def _read_events(text: str, sensor_w: int, sensor_h: int) -> np.ndarray | None:
+    """The events of ``text`` read by np.loadtxt, or None when the per-line
+    parser must decide, as for ``_load_text`` or a value outside the
+    format's ranges."""
+    events = _load_text(text, EVENT_DTYPE, 1)
+    if events is None:
         return None
     t, x, y, p = (events[name] for name in EVENT_DTYPE.names)  # "rho" holds p until the end
     if len(events) and not (
@@ -195,15 +225,47 @@ def _parse_event_lines(text: str, sensor_w: int, sensor_h: int) -> np.ndarray:
     return events
 
 
-def parse_poses(text: str) -> list[PoseLabel]:
-    """Parse a groundtruth pose stream into canonicalized PoseLabels.
+def parse_poses(text: str) -> Poses:
+    """Parse a groundtruth pose stream into canonicalized columns.
 
     Raises ParseError (with line number) for malformed lines and non-finite
     timestamps or positions, OrderingError if timestamps are not strictly
     increasing and InvalidRotationError for zero-norm or non-finite
     quaternions.
     """
-    poses: list[PoseLabel] = []
+    rows = _read_poses(text)
+    if rows is None:
+        rows = _parse_pose_lines(text)
+    return Poses(rows[:, 0], rows[:, 1:4], rows[:, 4:])
+
+
+def _read_poses(text: str) -> np.ndarray | None:
+    """The (n, 8) pose rows of ``text`` read by np.loadtxt, quaternions
+    canonicalized, or None when the per-line parser must decide, as for
+    ``_load_text``, any value it would reject or a quaternion it would
+    divide by its norm or whose qw is 0."""
+    rows = _load_text(text, np.float64, 2)
+    if rows is None or rows.shape[1] != 8:
+        return None
+    t, q = rows[:, 0], rows[:, 4:]
+    if not (np.isfinite(rows[:, :4]).all() and (t[1:] > t[:-1]).all()):
+        return None
+    # The summed norm may differ from np.linalg.norm in its last bits, so
+    # rows are kept only when both surely leave them undivided. Overflow
+    # warnings are left to the per-line parser, which repeats them.
+    with np.errstate(all="ignore"):
+        norm = np.sqrt(np.einsum("ij,ij->i", q, q))
+        if not ((np.abs(norm - 1.0) < 1e-12 - 1e-14) & (q[:, 3] != 0.0)).all():
+            return None
+    flip = q[:, 3] < 0.0
+    q[flip] = -q[flip] + 0.0  # + 0.0 turns -0.0 components into +0.0
+    return rows
+
+
+def _parse_pose_lines(text: str) -> np.ndarray:
+    """Line-by-line parse into (n, 8) rows with Python's ``float``; raises
+    the error of the first bad line."""
+    rows = []
     prev_t = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -228,8 +290,8 @@ def parse_poses(text: str) -> list[PoseLabel]:
             q = canonicalize_quaternion(vals[4:8])
         except InvalidRotationError as exc:
             raise InvalidRotationError(f"line {line_no}: {exc}") from None
-        poses.append(PoseLabel(t, np.array(vals[1:4], dtype=np.float64), q))
-    return poses
+        rows.append(vals[:4] + q.tolist())
+    return np.array(rows, dtype=np.float64).reshape(-1, 8)
 
 
 def format_events(events: np.ndarray) -> str:
@@ -250,18 +312,13 @@ def format_events(events: np.ndarray) -> str:
     return "".join(parts)
 
 
-def format_poses(poses: Sequence[PoseLabel]) -> str:
+def format_poses(poses: Poses) -> str:
     """Serialize poses back to the text format (round-trips exactly)."""
-    lines = []
-    for pose in poses:
-        fields = [pose.t, *pose.p.tolist(), *pose.q.tolist()]
-        lines.append(" ".join(repr(v) for v in fields))
-    return "".join(line + "\n" for line in lines)
+    rows = np.column_stack((poses.t, poses.p, poses.q)).tolist()
+    return "".join(" ".join(map(float.__repr__, row)) + "\n" for row in rows)
 
 
-def window_events(
-    events: np.ndarray, poses: Sequence[PoseLabel]
-) -> tuple[list[EventWindow], int]:
+def window_events(events: np.ndarray, poses: Poses) -> tuple[list[EventWindow], int]:
     """Group an ``EVENT_DTYPE`` stream into pose-labeled windows over
     (t_i, t_i+1] intervals.
 
@@ -281,14 +338,15 @@ def window_events(
         t = events["t"]
     # With t ascending, the events in (t_i, t_i+1] are those from the count
     # at or before t_i up to the count at or before t_i+1.
-    bounds = np.searchsorted(t, [p.t for p in poses], side="right").tolist()
+    bounds = np.searchsorted(t, poses.t, side="right").tolist()
+    labels = zip(poses.t[1:].tolist(), poses.p[1:], poses.q[1:])  # the pose at each interval's end
     windows: list[EventWindow] = []
     skipped_empty = 0
-    for i, (start, stop) in enumerate(zip(bounds, bounds[1:])):
+    for i, (start, stop, label) in enumerate(zip(bounds, bounds[1:], labels)):
         if start == stop:
             skipped_empty += 1
             continue
-        windows.append(EventWindow(events[start:stop], poses[i + 1], i))
+        windows.append(EventWindow(events[start:stop], PoseLabel(*label), i))
     return windows, skipped_empty
 
 

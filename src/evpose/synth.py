@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .events import EVENT_DTYPE, PoseLabel, canonicalize_quaternion, format_events, format_poses
+from .events import EVENT_DTYPE, Poses, canonicalize_quaternion, format_events, format_poses
 
 _Z_NEAR = 1e-3
 _ROWS_PER_PASS = 1 << 16  # (frame, segment) rows per array pass: bounds the renderer's temporaries
@@ -299,8 +299,9 @@ def generate_dataset(config: SceneConfig) -> tuple[str, str]:
     times = [i * dt for i in range(n_samples)]
     sample_times = np.asarray(times)
     _check_phases(config.trajectory, sample_times)
-    poses = [PoseLabel(t, *pose_at(config.trajectory, t)) for t in times]
-    positions = np.array([pose.p for pose in poses])
+    sampled = [pose_at(config.trajectory, t) for t in times]
+    positions = np.array([p for p, _ in sampled])
+    quaternions = np.array([q for _, q in sampled])
     overflow = np.argwhere(~np.isfinite(positions))
     if overflow.size:
         i, axis = overflow[0]
@@ -308,7 +309,7 @@ def generate_dataset(config: SceneConfig) -> tuple[str, str]:
             f"trajectory.position_base[{axis}] + position_amplitude[{axis}] makes the position non-finite "
             f"at t = {times[i]!r}"
         )
-    masks = _render_frames(config, positions, np.array([quat_to_matrix(pose.q) for pose in poses]))
+    masks = _render_frames(config, positions, np.array([quat_to_matrix(q) for q in quaternions]))
 
     # flatnonzero scans frame-major, then row-major; k is the interval (times[k], times[k + 1]]
     frame = config.sensor_h * config.sensor_w
@@ -320,7 +321,7 @@ def generate_dataset(config: SceneConfig) -> tuple[str, str]:
     events["y"], events["x"] = np.divmod(pixel, config.sensor_w)
     events["rho"] = np.where(masks.reshape(-1)[toggled + frame], 1, -1)
     events = events[np.lexsort((events["t"], k))]  # by interval, then time; ties keep scan order
-    return format_events(events), format_poses(poses)
+    return format_events(events), format_poses(Poses(sample_times, positions, quaternions))
 
 
 def default_scene(seed: int = 7, rate_hz: float = 200.0, duration: float = 2.0) -> SceneConfig:

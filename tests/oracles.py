@@ -5,8 +5,9 @@ instead of vectorized kernels, rotation matrices instead of quaternion
 algebra. ``train_accumulating`` is the exception: it checks only the
 training loop, so it reuses the library's forward, backward and SGD step.
 ``maxpool_argmax``, ``lstm_forward_allocating``, ``edge_frame_segments``,
-``interval_events`` and ``format_events_lines`` are the library's own
-earlier kernels, kept to show that their rewrites give the same bytes.
+``interval_events``, ``format_events_lines`` and ``parse_poses_lines`` are
+the library's own earlier kernels, kept to show that their rewrites give
+the same bytes.
 """
 
 import math
@@ -16,9 +17,9 @@ import numpy as np
 
 from evpose import autodiff as ad
 from evpose import model as m
-from evpose.errors import BoundsError, ParseError
+from evpose.errors import BoundsError, InvalidRotationError, OrderingError, ParseError
 from evpose.event_image import image_from_window
-from evpose.events import EVENT_DTYPE
+from evpose.events import EVENT_DTYPE, PoseLabel, canonicalize_quaternion
 from evpose.pipeline import Checkpoint
 
 
@@ -100,6 +101,39 @@ def parse_events_lines(text, sensor_w, sensor_h):
     if non_monotone:
         warnings.warn(f"{non_monotone} event(s) with non-monotone timestamps", stacklevel=2)
     return events
+
+
+def parse_poses_lines(text):
+    """The per-line groundtruth parser: a list of PoseLabels with
+    canonicalized quaternions, or the error of the first bad line. This is
+    the library's earlier ``parse_poses``."""
+    poses = []
+    prev_t = None
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 8:
+            raise ParseError(f"expected 't px py pz qx qy qz qw', got {line!r}", line_no)
+        try:
+            vals = [float(v) for v in parts]
+        except ValueError:
+            raise ParseError(f"could not parse fields in {line!r}", line_no) from None
+        t = vals[0]
+        if not math.isfinite(t):
+            raise ParseError(f"bad timestamp {parts[0]!r}", line_no)
+        if prev_t is not None and t <= prev_t:
+            raise OrderingError(f"line {line_no}: timestamp {t!r} not after {prev_t!r}")
+        prev_t = t
+        if not all(math.isfinite(v) for v in vals[1:4]):
+            raise ParseError(f"non-finite position in {line!r}", line_no)
+        try:
+            q = canonicalize_quaternion(vals[4:8])
+        except InvalidRotationError as exc:
+            raise InvalidRotationError(f"line {line_no}: {exc}") from None
+        poses.append(PoseLabel(t, np.array(vals[1:4], dtype=np.float64), q))
+    return poses
 
 
 def format_events_lines(events):

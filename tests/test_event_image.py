@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evpose.errors import BoundsError
-from evpose.event_image import build_image, select_fraction, to_pgm
+from evpose.event_image import EventImage, build_image, select_fraction, to_pgm
 from evpose.events import EVENT_DTYPE, EventWindow, PoseLabel
 from oracles import latest_event_image as latest_event_oracle
 
@@ -67,6 +69,38 @@ class TestBuildImage:
             assert np.count_nonzero(img.pixels != 0.5) <= len(distinct)
 
 
+@settings(max_examples=300, deadline=None, database=None)
+@given(data=st.data())
+def test_build_image_matches_brute_force_painter(data):
+    h, w = data.draw(st.integers(1, 9)), data.draw(st.integers(1, 9))
+    pixels = st.tuples(st.integers(0, w - 1), st.integers(0, h - 1), st.sampled_from([-1, 1]))
+    rows = data.draw(st.lists(pixels, max_size=40))
+    times = sorted(data.draw(st.lists(st.sampled_from([0.0, 0.25, 0.5]), min_size=len(rows), max_size=len(rows))))
+    evs = events(*((t, x, y, rho) for t, (x, y, rho) in zip(times, rows)))
+    img = build_image(evs, h, w)
+    assert img.pixels.dtype == np.float16
+    assert img.pixels.nbytes == 2 * h * w
+    assert np.array_equal(img.pixels, latest_event_oracle(evs, h, w))
+
+
+@pytest.mark.parametrize("h, w", [(1, 65535), (1, 65536), (2, 40000), (256, 256)])
+def test_images_past_16_bit_pixel_indices_match_a_painting_loop(h, w):
+    rows = [(w - 1, h - 1, 1), (0, 0, -1), (w - 1, h - 1, -1), (w // 2, h // 2, 1), (w - 1, 0, 1)]
+    img = build_image(events(*((0.1 * i, *row) for i, row in enumerate(rows))), h, w)
+    expected = np.full((h, w), 0.5)
+    for x, y, rho in rows:
+        expected[y, x] = 1.0 if rho > 0 else 0.0
+    assert img.pixels.dtype == np.float16
+    assert np.array_equal(img.pixels, expected)
+
+
+@pytest.mark.parametrize("h, w", [(8, 8), (2, 40000)])
+def test_out_of_image_message(h, w):
+    with pytest.raises(BoundsError) as exc:
+        build_image(events((0.0, 1, 1, 1), (0.1, w, 0, -1), (0.2, 0, h, 1)), h, w)
+    assert str(exc.value) == f"event at ({w}, 0) outside {w}x{h} image"
+
+
 class TestSelectFraction:
     def test_takes_latest_events(self):
         window = make_window(events(*((0.1 * i, i, i, 1) for i in range(10))))
@@ -111,3 +145,8 @@ class TestPgm:
         assert lines[2] == "255"
         assert lines[3].split() == ["128", "255"]
         assert lines[4].split() == ["0", "128"]
+
+    def test_text_is_unchanged(self):
+        img = build_image(events((0.0, 1, 0, 1), (0.1, 0, 1, -1), (0.2, 2, 1, 1), (0.3, 2, 1, -1)), 2, 3)
+        assert to_pgm(img) == "P2\n3 2\n255\n128 255 128\n0 128 0\n"
+        assert to_pgm(EventImage(img.pixels.astype(np.float64))) == to_pgm(img)

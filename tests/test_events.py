@@ -26,7 +26,7 @@ from evpose.events import (
     split_random,
     window_events,
 )
-from oracles import format_events_lines, parse_events_lines
+from oracles import format_events_lines, parse_events_lines, parse_poses_lines
 
 
 def events(*rows):
@@ -152,12 +152,14 @@ def _event_texts(draw):
 
 
 def _outcome(parse, text):
+    """The result, or the error's (type, message, line number), and the
+    messages of the warnings raised on the way."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
             result = parse(text)
         except DataError as exc:
-            return type(exc), str(exc), getattr(exc, "line_no", None)
+            result = type(exc), str(exc), getattr(exc, "line_no", None)
     return result, [str(w.message) for w in caught]
 
 
@@ -166,8 +168,8 @@ def _outcome(parse, text):
 def test_parse_events_matches_per_line_oracle(text):
     got = _outcome(lambda s: parse_events(s, _SENSOR_W, _SENSOR_H), text)
     want = _outcome(lambda s: parse_events_lines(s, _SENSOR_W, _SENSOR_H), text)
-    if isinstance(want[0], type):
-        assert isinstance(got[0], type) and got == want
+    if isinstance(want[0], tuple):
+        assert got == want
     else:
         assert got[0].dtype == EVENT_DTYPE
         assert got[0].tobytes() == np.array(want[0], EVENT_DTYPE).tobytes()
@@ -260,6 +262,105 @@ class TestParsePoses:
             q1 = canonicalize_quaternion(rng.standard_normal(4))
             q2 = canonicalize_quaternion(q1)
             assert q1.tolist() == q2.tolist()
+
+
+def _pose_rows(poses):
+    """The (n, 8) rows of a Poses or of a list of PoseLabels."""
+    return np.array([[pose.t, *pose.p.tolist(), *pose.q.tolist()] for pose in poses], dtype=np.float64).reshape(-1, 8)
+
+
+# Norm offsets around the 1e-12 pass-through bound of canonicalize_quaternion.
+_NORM_OFFSETS = [0.0, 3e-16, 5e-13, 9.8e-13, 1e-12 - 1e-14, 1e-12 - 1e-15, 1e-12, 1e-12 + 1e-15, 1.02e-12, 3e-12, 0.5]
+_SPECIAL_QUATERNIONS = [
+    [0.0, -0.6, 0.8, 0.0],  # qw +0.0, first nonzero negative
+    [-0.0, -0.0, -1.0, -0.0],  # qw -0.0
+    [0.0, 0.0, 0.0, -0.0],  # zero norm
+    [-0.0, 0.6, -0.0, -0.8],  # negative qw, -0.0 components
+    [0.0, 0.0, 0.0, 2.0],
+    [0.5, 0.5, 0.5, math.nan],
+    [math.inf, 0.0, 0.0, 1.0],
+]
+_POSE_SPELLINGS = ["nan", "inf", "-inf", "1e999", "1_0", "+1.5", ".5", "-0.0", "\u0661", "1,5", "x"]
+
+
+@st.composite
+def _quaternions(draw):
+    kind = draw(st.sampled_from(["unit", "unit", "scaled", "special"]))
+    if kind == "special":
+        return draw(st.sampled_from(_SPECIAL_QUATERNIONS))
+    q = [draw(st.floats(-1.0, 1.0)) for _ in range(4)]
+    n = math.sqrt(sum(v * v for v in q))
+    if n < 1e-3:
+        return [0.0, 0.0, 0.0, 1.0]
+    if kind == "unit":
+        scale = (1.0 + draw(st.sampled_from(_NORM_OFFSETS)) * draw(st.sampled_from([-1.0, 1.0]))) / n
+    else:
+        scale = draw(st.sampled_from([1e-300, 1e-160, 1e-150, 3.0, 1e150, 1e160, 1e300]))
+    return [v * scale for v in q]
+
+
+@st.composite
+def _pose_texts(draw):
+    """Pose lines with increasing times and quaternions near the norm
+    bound, with up to two injected mutations."""
+    n = draw(st.integers(0, 6))
+    steps = [draw(st.sampled_from([1e-3, 0.5, 1.0, 5e-324])) for _ in range(n)]
+    t, fields = draw(st.sampled_from([0.0, -1.0, 1e6])), []
+    for step in steps:
+        t += step
+        position = [draw(st.floats(-10.0, 10.0)) for _ in range(3)]
+        fields.append([repr(v) for v in [t, *position, *draw(_quaternions())]])
+    extra_lines = []
+    for kind in draw(st.lists(st.sampled_from(["field", "time", "line"]), max_size=2)):
+        if kind == "field" and n:
+            fields[draw(st.integers(0, n - 1))][draw(st.integers(0, 7))] = draw(st.sampled_from(_POSE_SPELLINGS))
+        elif kind == "time" and n > 1:
+            i = draw(st.integers(1, n - 1))
+            fields[i][0] = fields[i - 1][0]  # not after the previous line
+        elif kind == "line":
+            extra_lines.append(draw(st.sampled_from(["", "   ", "\t", "0.1 0 0 0 0 0 0", "0 0 0 0 0 0 0 1 0"])))
+    rows = [" ".join(row) for row in fields]
+    for line in extra_lines:
+        rows.insert(draw(st.integers(0, len(rows))), line)
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = "".join(row + end for row in rows)
+    if text and draw(st.booleans()):
+        text = text[: -len(end)]  # no final line break
+    return text
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(text=_pose_texts())
+def test_parse_poses_matches_per_line_oracle(text):
+    got = _outcome(parse_poses, text)
+    want = _outcome(parse_poses_lines, text)
+    if isinstance(want[0], tuple):
+        assert got == want
+    else:
+        assert np.column_stack((got[0].t, got[0].p, got[0].q)).tobytes() == _pose_rows(want[0]).tobytes()
+        assert got[1] == want[1]
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n"])
+def test_valid_poses_never_reach_the_per_line_parser(monkeypatch, end):
+    def refuse(*args):
+        raise AssertionError("per-line parser called")
+
+    monkeypatch.setattr(events_module, "_parse_pose_lines", refuse)
+    text = end.join(["0.1 1 2 3 0 0 0 -1", "", "0.2 4 5 6 -0.0 0.6 -0.0 -0.8", "0.3 7 8 9 0.5 0.5 0.5 0.5"]) + end
+    assert _pose_rows(parse_poses(text)).tobytes() == _pose_rows(parse_poses_lines(text)).tobytes()
+
+
+@pytest.mark.parametrize("offset", _NORM_OFFSETS + [-v for v in _NORM_OFFSETS])
+def test_norms_near_the_pass_through_bound_match_the_oracle(offset):
+    rng = np.random.default_rng(23)
+    lines = []
+    for i in range(200):
+        q = rng.standard_normal(4)
+        q *= (1.0 + offset) / np.linalg.norm(q)
+        lines.append(" ".join(repr(float(v)) for v in [i * 0.01, 0.0, 0.0, 0.0, *q]))
+    text = "\n".join(lines)
+    assert _pose_rows(parse_poses(text)).tobytes() == _pose_rows(parse_poses_lines(text)).tobytes()
 
 
 class TestWindowEvents:

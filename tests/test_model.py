@@ -8,8 +8,8 @@ from evpose import autodiff as ad
 from evpose import config
 from evpose import model as m
 from evpose.errors import DegenerateOutputError, ShapeError
-from evpose.event_image import EventImage
-from evpose.events import PoseLabel
+from evpose.event_image import EventImage, build_image
+from evpose.events import EVENT_DTYPE, PoseLabel
 from oracles import lstm_sequence_scalar, lstm_step_scalar
 
 
@@ -308,3 +308,19 @@ class TestPredict:
         params.tensors["head.out.b"].data[0, 0] = bad
         with pytest.raises(DegenerateOutputError, match="position"):
             m.predict(blank_image(), params)
+
+
+def test_predict_of_a_float16_image_equals_its_float64_pixels():
+    cfg = m.toy_config()
+    params = m.init_params(cfg, seed=3)
+    rng = np.random.default_rng(8)
+    for _ in range(5):
+        n = int(rng.integers(1, 60))
+        evs = np.zeros(n, EVENT_DTYPE)
+        evs["x"], evs["y"] = rng.integers(0, cfg.input_w, n), rng.integers(0, cfg.input_h, n)
+        evs["rho"] = rng.choice([-1, 1], n)
+        image = build_image(evs, cfg.input_h, cfg.input_w)
+        assert image.pixels.dtype == np.float16
+        a = m.predict(image, params)
+        b = m.predict(EventImage(image.pixels.astype(np.float64)), params)
+        assert [v.tobytes() for v in (a.p_hat, a.q_hat_raw, a.q_hat)] == [v.tobytes() for v in (b.p_hat, b.q_hat_raw, b.q_hat)]

@@ -130,7 +130,9 @@ class TestGenerateDataset:
         windows, skipped = window_events(events, poses)
         assert len(windows) + skipped == len(poses) - 1
         for window in windows:
-            assert window.label is poses[window.sequence_index + 1]
+            end = poses[window.sequence_index + 1]
+            assert window.label.t == end.t
+            assert window.label.p.tobytes() + window.label.q.tobytes() == end.p.tobytes() + end.q.tobytes()
             lo = poses[window.sequence_index].t
             hi = window.label.t
             assert all(lo < t <= hi for t in window.events["t"].tolist())
