@@ -203,23 +203,23 @@ def lstm_forward(x: Array, w_x: Array, w_h: Array, b: Array) -> tuple[Array, Arr
     acts += b
     cs = np.empty((s, hidden))
     hs = np.empty((s, hidden))
-    c = np.zeros(hidden)
+    c_prev = np.zeros(hidden)
+    recurrent = np.empty(4 * hidden)
     for t in range(s):
         a = acts[t]
         if t:
-            a += hs[t - 1] @ w_h
+            a += np.dot(hs[t - 1], w_h, out=recurrent)
         i, f, o, g = a[:hidden], a[hidden : 2 * hidden], a[2 * hidden : 3 * hidden], a[3 * hidden :]
-        sig = a[: 3 * hidden]  # _logistic in place, step for step
+        sig = a[: 3 * hidden]  # _logistic in place: 0.5 * (tanh(0.5 * v) + 1)
         sig *= 0.5
-        np.tanh(sig, out=sig)
+        np.tanh(a, out=a)  # one call: the halved i/f/o and the g block
         sig += 1.0
         sig *= 0.5
-        np.tanh(g, out=g)
-        c *= f
+        c = np.multiply(f, c_prev, out=cs[t])  # step 0: 0.0 * f, as from a zero state
         c += i * g
-        cs[t] = c
         np.tanh(c, out=hs[t])
         hs[t] *= o
+        c_prev = c
     return hs, cs, acts
 
 
@@ -265,7 +265,9 @@ def lstm_sequence(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor) -> Tensor:
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """2-D cross-correlation over a (C_in, H, W) input with zero padding.
 
-    ``w`` has shape (C_out, C_in, kh, kw) and ``b`` shape (C_out,).
+    ``w`` has shape (C_out, C_in, kh, kw) and ``b`` shape (C_out,). One
+    im2col GEMM forward and per-tap GEMMs backward get the operands, in the
+    memory layout, that ``np.tensordot`` forms, so the bytes are its bytes.
     """
     xd, wd, bd = x.data, w.data, b.data
     if xd.ndim != 3 or wd.ndim != 4 or bd.ndim != 1:
@@ -289,30 +291,32 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
     w_out = (wp - kw) // stride + 1
     if h_out < 1 or w_out < 1:
         raise ShapeError(f"conv2d: kernel {wd.shape} does not fit input {xd.shape}")
+    n = h_out * w_out
     s0, s1, s2 = xp.strides
-    windows = np.lib.stride_tricks.as_strided(
-        xp, (cin, h_out, w_out, kh, kw), (s0, s1 * stride, s2 * stride, s1, s2)
+    windows = np.lib.stride_tricks.as_strided(  # tap-major: reshaped, the im2col matrix
+        xp, (cin, kh, kw, h_out, w_out), (s0, s1, s2, s1 * stride, s2 * stride)
     )
-    out = np.tensordot(wd, windows, axes=((1, 2, 3), (0, 3, 4)))
+    out = np.dot(wd.reshape(cout, -1), windows.reshape(-1, n)).reshape(cout, h_out, w_out)
     out += bd[:, None, None]
 
     need_x, need_w = x.requires_grad, w.requires_grad
 
     def vjp(g: Array) -> tuple:
         gb = g.sum(axis=(1, 2))
+        g2 = g.reshape(cout, n)
         gw = np.empty_like(wd) if need_w else None
         gxp = np.zeros_like(xp) if need_x else None
+        # [ky, kx] of these: the tap's (n, cin) window matrix, its (cin, cout) weights
+        x_taps = windows.transpose(1, 2, 3, 4, 0).reshape(kh, kw, n, cin) if need_w else None
+        w_taps = wd.transpose(2, 3, 1, 0)
         for ky in range(kh):
             for kx in range(kw):
                 if need_w:
-                    xs = xp[
-                        :, ky : ky + h_out * stride : stride, kx : kx + w_out * stride : stride
-                    ]
-                    gw[:, :, ky, kx] = np.tensordot(g, xs, axes=((1, 2), (1, 2)))
+                    gw[:, :, ky, kx] = np.dot(g2, x_taps[ky, kx])
                 if need_x:
                     gxp[
                         :, ky : ky + h_out * stride : stride, kx : kx + w_out * stride : stride
-                    ] += np.tensordot(wd[:, :, ky, kx], g, axes=(0, 0))
+                    ] += np.dot(w_taps[ky, kx], g2).reshape(cin, h_out, w_out)
         if not need_x:
             return None, gw, gb
         gx = gxp[:, padding : padding + h_in, padding : padding + w_in] if padding else gxp

@@ -20,7 +20,7 @@ import numpy as np
 from . import model as _model
 from .event_image import image_from_window
 from .events import EventWindow, PoseLabel
-from .model import ModelParams, PosePrediction
+from .model import ModelParams, PosePrediction, vector_norm
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,7 @@ class RobustnessTable:
 
 def position_error(pred: PosePrediction, label: PoseLabel) -> float:
     """Euclidean distance between predicted and groundtruth positions."""
-    return float(np.linalg.norm(pred.p_hat - label.p))
+    return vector_norm(pred.p_hat - label.p)
 
 
 def orientation_error(pred: PosePrediction, label: PoseLabel) -> float:
@@ -102,11 +102,11 @@ def orientation_error(pred: PosePrediction, label: PoseLabel) -> float:
     """
     q_hat, q = pred.q_hat, label.q
     for name, quat in (("prediction", q_hat), ("label", q)):
-        if abs(float(np.linalg.norm(quat)) - 1.0) > 1e-6:
+        if abs(vector_norm(quat) - 1.0) > 1e-6:
             raise ValueError(f"orientation_error: {name} quaternion is not unit length")
     # for unit quaternions acos(|d|) == 2*atan2(min(|q-p|,|q+p|), max(...))
-    diff = float(np.linalg.norm(q_hat - q))
-    summ = float(np.linalg.norm(q_hat + q))
+    diff = vector_norm(q_hat - q)
+    summ = vector_norm(q_hat + q)
     half = 2.0 * math.atan2(min(diff, summ), max(diff, summ))
     return math.degrees(2.0 * half)
 

@@ -32,7 +32,8 @@ class ModelConfig:
     """Architecture hyperparameters.
 
     ``conv_blocks`` entries are (out_channels, kernel, stride, pool); each
-    block is conv (zero-padded to keep dims at stride 1) -> relu -> maxpool.
+    block is conv (zero-padded to keep dims at stride 1) -> maxpool -> relu,
+    the same function as conv -> relu -> maxpool with ReLU on fewer elements.
     ``feature_dim`` must be a perfect square S*S; the LSTM runs over S steps
     of width S. Construction checks that sizes are >= 1 and pools tile.
     """
@@ -175,7 +176,12 @@ def cnn_forward(
     training: bool = False,
     rng_seed: int | None = None,
 ) -> Tensor:
-    """Conv/pool/relu blocks, flatten, FC to width F, dropout (training only)."""
+    """Conv/pool/relu blocks, flatten, FC to width F, dropout (training only).
+
+    Pooling before ReLU gives the relu-then-pool bytes, parameter gradients
+    included: ReLU is monotone, and a window with no positive value gives
+    +0.0 either way.
+    """
     cfg = params.config
     if image.pixels.shape != (cfg.input_h, cfg.input_w):
         raise ShapeError(
@@ -191,9 +197,9 @@ def cnn_forward(
             stride=stride,
             padding=kernel // 2,
         )
-        t = ad.relu(t)
         if pool > 1:
             t = ad.maxpool2d(t, pool)
+        t = ad.relu(t)
     t = ad.reshape(t, (1, t.data.size))
     t = ad.add(ad.matmul(t, params.tensors["feat.w"]), params.tensors["feat.b"])
     return ad.dropout(t, cfg.dropout_rate, training=training, seed=rng_seed)
@@ -264,9 +270,16 @@ def pose_loss(pred: Tensor, label: PoseLabel) -> Tensor:
     return ad.add(ad.l2norm(ad.sub(p_hat, p)), ad.l2norm(ad.sub(q_hat, q)))
 
 
+def vector_norm(v: np.ndarray) -> float:
+    """``float(np.linalg.norm(v))`` of a 1-D float64 vector, bit for bit: its
+    dot product over contiguous memory, without its dispatch."""
+    v = np.ascontiguousarray(v)
+    return math.sqrt(v.dot(v))
+
+
 def unit_quaternion(q_raw: np.ndarray) -> np.ndarray:
     """Scale a raw quaternion output to unit length."""
-    n = float(np.linalg.norm(q_raw))
+    n = vector_norm(q_raw)
     if n == 0.0:
         raise DegenerateOutputError("network produced a zero-norm quaternion")
     if not math.isfinite(n):

@@ -4,7 +4,8 @@ These deliberately avoid the library's own code paths: explicit loops
 instead of vectorized kernels, rotation matrices instead of quaternion
 algebra. ``train_accumulating`` is the exception: it checks only the
 training loop, so it reuses the library's forward, backward and SGD step.
-``maxpool_argmax``, ``lstm_forward_allocating``, ``edge_frame_segments``,
+``conv2d_tensordot``, ``maxpool_argmax``, ``lstm_forward_allocating``,
+``cnn_forward_relu_then_pool``, ``edge_frame_segments``,
 ``interval_events``, ``format_events_lines`` and ``parse_poses_lines`` are
 the library's own earlier kernels, kept to show that their rewrites give
 the same bytes.
@@ -306,6 +307,36 @@ def conv2d_loops(x, w, b, stride, padding):
     return out
 
 
+def conv2d_tensordot(x, w, b, stride, padding, g):
+    """The earlier ``autodiff.conv2d`` and its vjp, built on ``np.tensordot``,
+    kept as a byte-equality reference. Returns (out, gx, gw, gb) for the
+    output gradient ``g``."""
+    cin, h_in, w_in = x.shape
+    cout, _, kh, kw = w.shape
+    xp = x
+    if padding:
+        xp = np.zeros((cin, h_in + 2 * padding, w_in + 2 * padding))
+        xp[:, padding:-padding, padding:-padding] = x
+    h_out = (xp.shape[1] - kh) // stride + 1
+    w_out = (xp.shape[2] - kw) // stride + 1
+    s0, s1, s2 = xp.strides
+    windows = np.lib.stride_tricks.as_strided(
+        xp, (cin, h_out, w_out, kh, kw), (s0, s1 * stride, s2 * stride, s1, s2)
+    )
+    out = np.tensordot(w, windows, axes=((1, 2, 3), (0, 3, 4)))
+    out += b[:, None, None]
+    gw = np.empty_like(w)
+    gxp = np.zeros_like(xp)
+    for ky in range(kh):
+        for kx in range(kw):
+            taps = (slice(None), slice(ky, ky + h_out * stride, stride),
+                    slice(kx, kx + w_out * stride, stride))
+            gw[:, :, ky, kx] = np.tensordot(g, xp[taps], axes=((1, 2), (1, 2)))
+            gxp[taps] += np.tensordot(w[:, :, ky, kx], g, axes=(0, 0))
+    gx = gxp[:, padding : padding + h_in, padding : padding + w_in]
+    return out, gx, gw, g.sum(axis=(1, 2))
+
+
 def maxpool_loops(x, window, g):
     """Max pooling and its vjp with explicit index loops. Each output takes
     the first max of its window in row-major order (a NaN counts as the
@@ -368,6 +399,21 @@ def lstm_forward_allocating(x, w_x, w_h, b):
         cs[t] = c
         hs[t] = o * np.tanh(c)
     return hs, cs, acts
+
+
+def cnn_forward_relu_then_pool(image, params, training=False, rng_seed=None):
+    """The earlier ``model.cnn_forward``, which applies ReLU before max
+    pooling, kept as a byte-equality reference for the pool-then-ReLU order."""
+    cfg = params.config
+    t = ad.tensor(image.pixels.reshape(1, cfg.input_h, cfg.input_w))
+    for i, (_cout, kernel, stride, pool) in enumerate(cfg.conv_blocks):
+        t = ad.conv2d(t, params.tensors[f"conv{i}.w"], params.tensors[f"conv{i}.b"], stride, kernel // 2)
+        t = ad.relu(t)
+        if pool > 1:
+            t = ad.maxpool2d(t, pool)
+    t = ad.reshape(t, (1, t.data.size))
+    t = ad.add(ad.matmul(t, params.tensors["feat.w"]), params.tensors["feat.b"])
+    return ad.dropout(t, cfg.dropout_rate, training=training, seed=rng_seed)
 
 
 def train_accumulating(config, windows):

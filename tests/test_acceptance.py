@@ -4,7 +4,8 @@ Each criterion is one test that prints a PASS line with its measured
 numbers; run with ``pytest tests/test_acceptance.py -v -s``. The
 end-to-end overfit run (criterion 5) trains the desk-scale model once and
 shares its checkpoint with criteria 7 and 9; expect a few minutes of CPU
-time for the whole module.
+time for the whole module. Those three tests are marked ``slow``, so
+``pytest -m "not slow"`` runs everything else in seconds.
 """
 
 import math
@@ -152,6 +153,7 @@ def test_criterion_4_median_aggregation():
     )
 
 
+@pytest.mark.slow
 def test_criterion_5_end_to_end_overfit(overfit_run):
     history = overfit_run.ckpt.loss_history
     ratio = history[-1] / history[0]
@@ -197,6 +199,7 @@ def test_criterion_6_split_contracts():
     )
 
 
+@pytest.mark.slow
 def test_criterion_7_robustness_harness(overfit_run):
     table = evaluation.robustness_experiment(
         overfit_run.ckpt.params, overfit_run.train_windows
@@ -251,6 +254,7 @@ def test_criterion_8_metric_properties():
     )
 
 
+@pytest.mark.slow
 def test_criterion_9_checkpoint_round_trip(overfit_run, tmp_path):
     path = tmp_path / "overfit.ckpt"
     pipeline.save_checkpoint(overfit_run.ckpt, path)

@@ -2,10 +2,13 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evpose import autodiff as ad
 from evpose.errors import NumericError, ShapeError
 from oracles import conv2d_loops as conv2d_loop_oracle
+from oracles import conv2d_tensordot
 from oracles import lstm_forward_allocating, maxpool_argmax, maxpool_loops
 
 
@@ -35,6 +38,14 @@ def assert_pool_bytes_equal(x, window, reference):
     out = ad.maxpool2d(ad.parameter(x), window)
     for got, want in zip((out.data, out._vjp(g)[0]), reference(x, window, g)):
         assert got.tobytes() == want.tobytes()
+
+
+def assert_conv_bytes_equal(x, w, b, stride, padding):
+    """conv2d and its vjp give the bytes of the earlier tensordot convolution."""
+    out = ad.conv2d(ad.parameter(x), ad.parameter(w), ad.parameter(b), stride, padding)
+    g = np.random.default_rng(out.data.size).standard_normal(out.data.shape)
+    for got, want in zip((out.data, *out._vjp(g)), conv2d_tensordot(x, w, b, stride, padding, g)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def assert_backward_matches_fd(f, params, rtol=1e-6, eps=1e-6):
@@ -108,6 +119,33 @@ class TestForwardValues:
         out = ad.conv2d(ad.tensor(x), ad.tensor(w), ad.tensor(b), 1, 1)
         assert np.allclose(out.data, conv2d_loop_oracle(x, w, b, 1, 1), atol=1e-12)
 
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(data=st.data())
+    def test_conv2d_matches_earlier_tensordot_conv_bytes(self, data):
+        kernel = data.draw(st.sampled_from([1, 2, 3, 5]), label="kernel")
+        cin = data.draw(st.integers(1, 8), label="cin")
+        cout = data.draw(st.integers(1, 16), label="cout")
+        stride = data.draw(st.integers(1, 2), label="stride")
+        padding = data.draw(st.integers(0, kernel - 1), label="padding")
+        h, w = data.draw(st.integers(kernel, 40), label="h"), data.draw(st.integers(kernel, 40), label="w")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        x, wt, b = (rng.standard_normal(s) for s in ((cin, h, w), (cout, cin, kernel, kernel), cout))
+        assert_conv_bytes_equal(x, wt, b, stride, padding)
+
+    # A C-ordered copy of a tap's weight block, where tensordot passes a view,
+    # changed gx for cin = 1 and for 1x1 kernels; so did one GEMM over all taps.
+    @pytest.mark.parametrize(
+        "cin, cout, kernel, stride, padding, size",
+        [(1, 8, 3, 1, 1, 64), (8, 16, 3, 1, 1, 32), (1, 1, 1, 1, 0, 1), (1, 5, 2, 2, 1, 9),
+         (1, 16, 5, 1, 4, 17), (1, 3, 1, 2, 0, 40), (4, 7, 1, 1, 0, 23), (8, 16, 1, 2, 0, 12)],
+    )
+    def test_conv2d_matches_earlier_tensordot_conv_bytes_for_one_channel_or_1x1(
+        self, cin, cout, kernel, stride, padding, size
+    ):
+        rng = np.random.default_rng(size)
+        x, wt, b = (rng.standard_normal(s) for s in ((cin, size, size), (cout, cin, kernel, kernel), cout))
+        assert_conv_bytes_equal(x, wt, b, stride, padding)
+
     def test_maxpool_values(self):
         x = ad.tensor(np.arange(16.0).reshape(1, 4, 4))
         out = ad.maxpool2d(x, 2)
@@ -143,12 +181,16 @@ class TestForwardValues:
         x = ad.relu(ad.tensor(np.random.default_rng(shape[0]).standard_normal(shape))).data
         assert_pool_bytes_equal(x, 2, maxpool_argmax)
 
-    @pytest.mark.parametrize("scale", [0.2, 10.0], ids=["moderate", "saturating"])
-    def test_lstm_sequence_matches_earlier_allocating_loop_bytes(self, monkeypatch, scale):
-        # the desk model's first layer: 16 steps of width 16, H = 64; at
-        # scale 10 the gate pre-activations spread to about +-40
+    @pytest.mark.parametrize(
+        "scale, hidden",
+        [pytest.param(scale, hidden, id=name if hidden == 64 else f"{name}-H{hidden}")
+         for hidden in (64, 8, 3, 1) for scale, name in ((0.2, "moderate"), (10.0, "saturating"))],
+    )
+    def test_lstm_sequence_matches_earlier_allocating_loop_bytes(self, monkeypatch, scale, hidden):
+        # 16 steps of width 16, as in the desk model's first layer, whose H
+        # is 64; the smaller H put the single tanh's 4H row on SIMD tails.
+        # At scale 10 the gate pre-activations spread to about +-40.
         rng = np.random.default_rng(int(scale * 10))
-        hidden = 64
         x = rng.standard_normal((16, 16))
         weights = [rng.standard_normal(s) * scale for s in ((16, 4 * hidden), (hidden, 4 * hidden), (1, 4 * hidden))]
         got, want = ad.lstm_forward(x, *weights), lstm_forward_allocating(x, *weights)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evpose import autodiff as ad
 from evpose import config
@@ -10,7 +12,7 @@ from evpose import model as m
 from evpose.errors import DegenerateOutputError, ShapeError
 from evpose.event_image import EventImage, build_image
 from evpose.events import EVENT_DTYPE, PoseLabel
-from oracles import lstm_sequence_scalar, lstm_step_scalar
+from oracles import cnn_forward_relu_then_pool, lstm_sequence_scalar, lstm_step_scalar
 
 
 def blank_image(h=8, w=8):
@@ -276,6 +278,74 @@ class TestPoseLoss:
         assert all(np.all(np.isfinite(g)) for g in grads.values())
 
 
+def conv_blocks_with_zeros_and_ties(weights, rng):
+    """Two-block parameters whose conv outputs hold dead channels, exact
+    zeros and windows whose positive maximum is tied.
+
+    Channel 0 of each block has every output negative; channel 1 has zero
+    weights and a bias of -0.0, so every output is 0.0 (a GEMM sums from
+    +0.0, so no conv output is -0.0). With "integer" weights on ternary
+    pixels most outputs are small multiples of 0.5.
+    """
+    cfg = m.ModelConfig(input_h=16, input_w=16, conv_blocks=((4, 3, 1, 2), (6, 3, 1, 2)),
+                        feature_dim=16, lstm_hidden=4, lstm_layers=1, fc_hidden=4)
+    params = m.init_params(cfg, seed=9)
+    for i in range(len(cfg.conv_blocks)):
+        w, b = params.tensors[f"conv{i}.w"].data, params.tensors[f"conv{i}.b"].data
+        if weights == "integer":
+            w[...] = rng.integers(-1, 2, size=w.shape)
+            b[...] = rng.choice([0.0, -0.0, 0.5, -0.5], size=b.shape)
+        else:
+            b[...] = rng.standard_normal(b.shape) * 0.1
+        b[0] = -100.0
+        w[1], b[1] = 0.0, -0.0
+    return params
+
+
+@pytest.mark.parametrize("training", [False, True], ids=["inference", "training"])
+@pytest.mark.parametrize("weights", ["integer", "gaussian"])
+def test_pool_then_relu_matches_earlier_relu_then_pool_bytes(weights, training):
+    # A window with no positive value sends its gradient, a zero whose sign
+    # is that of g, to another element in each order; every parameter
+    # gradient must still come out with the same bytes.
+    rng = np.random.default_rng(17)
+    params = conv_blocks_with_zeros_and_ties(weights, rng)
+    cfg = params.config
+    tensors = [params.tensors[name] for name, _ in m.param_manifest(cfg) if name.startswith(("conv", "feat"))]
+    ties = 0
+    for k in range(12):
+        j = k % 4  # from all-0.5 pixels to 60% zeros and 30% ones
+        pixels = rng.choice([0.0, 0.5, 1.0], p=[0.2 * j, 1.0 - 0.3 * j, 0.1 * j], size=(16, 16))
+        first = ad.conv2d(ad.tensor(pixels[None]), *(params.tensors[f"conv0.{p}"] for p in "wb"), 1, 1).data
+        windows = first.reshape(4, 8, 2, 8, 2).transpose(0, 1, 3, 2, 4).reshape(4, 8, 8, 4)
+        top = windows.max(axis=3)
+        ties += int(((windows == top[..., None]).sum(axis=3) > 1)[top > 0.0].sum())
+        g = ad.tensor(rng.standard_normal((1, cfg.feature_dim)))
+        outs = [f(EventImage(pixels), params, training=training, rng_seed=k)
+                for f in (m.cnn_forward, cnn_forward_relu_then_pool)]
+        assert outs[0].data.tobytes() == outs[1].data.tobytes()
+        got, want = (ad.backward(ad.sum_all(ad.mul(out, g)), tensors) for out in outs)
+        for t in tensors:
+            assert np.asarray(got[t]).tobytes() == np.asarray(want[t]).tobytes()
+    assert ties > 0 or weights == "gaussian"
+
+
+def test_pool_then_relu_equals_relu_then_pool_on_signed_zeros():
+    # -0.0 reaches no conv output, so the op pair is checked on its own:
+    # the same bytes forward, and the same gradient up to where a zero goes.
+    rng = np.random.default_rng(18)
+    x = rng.choice([-1.0, -0.0, 0.0, 0.5, 1.0], size=(3, 8, 8))
+    x[0] = -rng.random((8, 8))  # a dead channel
+    x[1, :2, :2] = -0.0  # a window of negative zeros
+    g = ad.tensor(rng.standard_normal((3, 4, 4)))
+    leaf = ad.parameter(x)
+    outs = [ad.relu(ad.maxpool2d(leaf, 2)), ad.maxpool2d(ad.relu(leaf), 2)]
+    assert outs[0].data.tobytes() == outs[1].data.tobytes()
+    assert not np.signbit(outs[0].data).any()
+    got, want = (ad.backward(ad.sum_all(ad.mul(out, g)), [leaf])[leaf] for out in outs)
+    assert np.array_equal(got, want)
+
+
 class TestPredict:
     def test_unit_quaternion_and_determinism(self):
         cfg = m.toy_config()
@@ -324,3 +394,12 @@ def test_predict_of_a_float16_image_equals_its_float64_pixels():
         a = m.predict(image, params)
         b = m.predict(EventImage(image.pixels.astype(np.float64)), params)
         assert [v.tobytes() for v in (a.p_hat, a.q_hat_raw, a.q_hat)] == [v.tobytes() for v in (b.p_hat, b.q_hat_raw, b.q_hat)]
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40), st.integers(1, 3))
+def test_vector_norm_equals_linalg_norm_bytes(values, step):
+    # step > 1 passes a strided view, whose dot product can round otherwise
+    v = np.array(values)[::step]
+    with np.errstate(over="ignore"):
+        assert np.float64(m.vector_norm(v)).tobytes() == np.float64(np.linalg.norm(v)).tobytes()
