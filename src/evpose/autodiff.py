@@ -66,12 +66,24 @@ class Outer:
     def blocks(self):
         """Yield ``(rows, block)``: the product multiplied out about 256 KB of
         rows at a time into one reused buffer, so a block is valid only
-        until the next one is drawn."""
+        until the next one is drawn.
+
+        Each block is filled with rows of ``v``, then scaled in place by
+        ``u[rows, None]``: a contiguous copy and a two-operand multiply,
+        where the broadcast ``u[rows, None] * v`` runs one short loop per
+        row. IEEE multiplication commutes, so every element, signed zeros
+        included, keeps the bytes of ``u_i * v_j``. ``np.dot``, ``einsum``
+        and BLAS ``dger`` give equal values but not equal bytes: they give
+        ``+0.0`` where ``u_i * v_j`` is ``-0.0``, and ``dger`` also fuses
+        the add that ``sgd_step`` rounds separately."""
         rows = max(1, _OUTER_BLOCK // self.shape[1])
         buf = np.empty((rows, self.shape[1]))
         for r in range(0, self.shape[0], rows):
             u = self.u[r : r + rows, None]
-            yield slice(r, r + rows), np.multiply(u, self.v, out=buf[: len(u)])
+            block = buf[: len(u)]
+            block[...] = self.v
+            block *= u
+            yield slice(r, r + rows), block
 
 
 class Tensor:
@@ -237,21 +249,35 @@ def lstm_sequence(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor) -> Tensor:
         slope = acts * (1.0 - acts)
         slope[:, 3 * hidden :] = 1.0 - acts[:, 3 * hidden :] ** 2
         tanh_c = np.tanh(cs)
+        dtanh = tanh_c * tanh_c  # then 1 - tanh(c)^2, in place
+        np.subtract(1.0, dtanh, out=dtanh)
         dz = np.empty_like(acts)  # gradient w.r.t. the gate pre-activations
+        gates = acts.reshape(s, 4, hidden)  # [t, k]: gate k of step t, i/f/o/g
+        dgates = dz.reshape(s, 4, hidden)
+        dgates[0, 1] = 0.0  # no c_{-1}: the zero state's forget-gate gradient
+        dh = np.empty(hidden)
+        dc = np.empty(hidden)
         dh_next = np.zeros(hidden)
         dc_next = np.zeros(hidden)
+        wh_t = whd.T
+        # The operations of ``lstm_backward_allocating`` (tests/oracles.py),
+        # in its order, into reused buffers; its ``dc_next + dh * o * dtanh``
+        # becomes ``dh * o * dtanh + dc_next``, which rounds the same
         for t in range(s - 1, -1, -1):
-            i, f, o, gg = (acts[t, k * hidden : (k + 1) * hidden] for k in range(4))
-            dh = g[t] + dh_next
-            dc = dc_next + dh * o * (1.0 - tanh_c[t] * tanh_c[t])
-            dz[t, :hidden] = dc * gg
-            dz[t, hidden : 2 * hidden] = dc * cs[t - 1] if t else 0.0
-            dz[t, 2 * hidden : 3 * hidden] = dh * tanh_c[t]
-            dz[t, 3 * hidden :] = dc * i
-            dz[t] *= slope[t]
-            dc_next = dc * f
+            i, f, o, gg = gates[t]
+            np.add(g[t], dh_next, out=dh)
+            np.multiply(dh, o, out=dc)
+            dc *= dtanh[t]
+            dc += dc_next
+            np.multiply(dc, gg, out=dgates[t, 0])
             if t:
-                dh_next = dz[t] @ whd.T
+                np.multiply(dc, cs[t - 1], out=dgates[t, 1])
+            np.multiply(dh, tanh_c[t], out=dgates[t, 2])
+            np.multiply(dc, i, out=dgates[t, 3])
+            dz[t] *= slope[t]
+            np.multiply(dc, f, out=dc_next)
+            if t:
+                np.dot(dz[t], wh_t, out=dh_next)
         return (
             dz @ wxd.T if need_x else None,
             xd.T @ dz if need_wx else None,
@@ -550,19 +576,6 @@ def make_opt_state(
     return OptState(lr, momentum, weight_decay, [np.zeros_like(p.data) for p in params])
 
 
-def _axpy(alpha: float, x: Array, y: Array) -> None:
-    """y += alpha * x in place, single pass, no temporary."""
-    blas_daxpy(x.reshape(-1), y.reshape(-1), a=alpha)
-
-
-def _momentum_update(theta: Array, g: Array, v: Array, state: OptState) -> None:
-    v *= state.momentum
-    v += g
-    if state.weight_decay != 0.0:
-        _axpy(state.weight_decay, theta, v)
-    _axpy(-state.lr, v, theta)
-
-
 def sgd_step(
     params: Sequence[Tensor], grads: Mapping[Tensor, Array | Outer], state: OptState
 ) -> None:
@@ -571,16 +584,26 @@ def sgd_step(
 
     g' = g + weight_decay * theta;  v = momentum * v + g';  theta -= lr * v
 
-    An ``Outer`` gradient is never densified whole: it is multiplied out one
-    block of about 256 KB of rows at a time, and each block is applied with
-    the same per-element operations, in the same order, as a dense gradient.
-    Every gradient is checked first, so a ShapeError or NumericError
-    leaves all parameters and velocities untouched.
+    The update runs over flat views of each parameter and velocity, so both
+    must be C-contiguous. A dense gradient is applied as one block. An
+    ``Outer`` gradient is never densified whole: ``Outer.blocks`` multiplies
+    it out about 256 KB of rows at a time, and each block goes through the
+    same per-element operations, in the same order, as a dense gradient:
+    so the product is filled, then scaled, never formed by ``dot``,
+    ``einsum`` or ``dger`` (see ``Outer.blocks``). The weight decay and the
+    parameter step stay on BLAS ``daxpy``, which rounds ``y + a * x`` as one
+    fused multiply-add. Every gradient, parameter and velocity is checked
+    first, so a ShapeError or NumericError leaves all of them untouched.
     """
     gs = [grads[p] for p in params]
-    for p, g in zip(params, gs):
+    for p, g, v in zip(params, gs, state.velocity):
         if g.shape != p.data.shape:
             raise ShapeError(f"sgd_step: gradient shape {g.shape} vs parameter {p.data.shape}")
+        if v.shape != p.data.shape or not (p.data.flags.c_contiguous and v.flags.c_contiguous):
+            raise ShapeError(
+                f"sgd_step: parameter {p.data.shape} and velocity {v.shape} must be "
+                "C-contiguous arrays of one shape"
+            )
         if isinstance(g, Outer):
             # |fl(u_i v_j)| <= fl(max|u| max|v|), and a NaN or an inf * 0 in
             # the product shows as a NaN here
@@ -590,9 +613,21 @@ def sgd_step(
             finite = np.isfinite(g.sum()) or np.isfinite(g).all()
         if not finite:
             raise NumericError("non-finite gradient; optimizer step aborted")
+    lr, momentum, weight_decay = state.lr, state.momentum, state.weight_decay
     for p, g, v in zip(params, gs, state.velocity):
+        theta, vel = p.data.reshape(-1), v.reshape(-1)  # views, as both are C-contiguous
         if isinstance(g, Outer):
-            for rows, block in g.blocks():
-                _momentum_update(p.data[rows], block, v[rows], state)
+            width = g.shape[1]
+            blocks = (
+                (slice(rows.start * width, rows.stop * width), block.reshape(-1))
+                for rows, block in g.blocks()
+            )
         else:
-            _momentum_update(p.data, g, v, state)
+            blocks = [(slice(None), g.reshape(-1))]
+        for span, block in blocks:
+            t, w = theta[span], vel[span]
+            w *= momentum
+            w += block
+            if weight_decay != 0.0:
+                blas_daxpy(t, w, a=weight_decay)
+            blas_daxpy(w, t, a=-lr)

@@ -5,10 +5,10 @@ instead of vectorized kernels, rotation matrices instead of quaternion
 algebra. ``train_accumulating`` is the exception: it checks only the
 training loop, so it reuses the library's forward, backward and SGD step.
 ``conv2d_tensordot``, ``maxpool_argmax``, ``lstm_forward_allocating``,
-``cnn_forward_relu_then_pool``, ``edge_frame_segments``,
-``interval_events``, ``format_events_lines`` and ``parse_poses_lines`` are
-the library's own earlier kernels, kept to show that their rewrites give
-the same bytes.
+``lstm_backward_allocating``, ``cnn_forward_relu_then_pool``,
+``edge_frame_segments``, ``interval_events``, ``format_events_lines`` and
+``parse_poses_lines`` are the library's own earlier kernels, kept to show
+that their rewrites give the same bytes.
 """
 
 import math
@@ -399,6 +399,33 @@ def lstm_forward_allocating(x, w_x, w_h, b):
         cs[t] = c
         hs[t] = o * np.tanh(c)
     return hs, cs, acts
+
+
+def lstm_backward_allocating(x, w_x, w_h, hs, cs, acts, g):
+    """The earlier ``autodiff.lstm_sequence`` vjp, which allocates a new
+    array for every gate gradient and state gradient, kept as a byte-equality
+    reference. Takes the layer's inputs, ``lstm_forward``'s (hs, cs, acts)
+    and the output gradient ``g`` (S, H); returns (dx, dw_x, dw_h, db)."""
+    s, hidden = hs.shape
+    slope = acts * (1.0 - acts)
+    slope[:, 3 * hidden :] = 1.0 - acts[:, 3 * hidden :] ** 2
+    tanh_c = np.tanh(cs)
+    dz = np.empty_like(acts)
+    dh_next = np.zeros(hidden)
+    dc_next = np.zeros(hidden)
+    for t in range(s - 1, -1, -1):
+        i, f, o, gg = (acts[t, k * hidden : (k + 1) * hidden] for k in range(4))
+        dh = g[t] + dh_next
+        dc = dc_next + dh * o * (1.0 - tanh_c[t] * tanh_c[t])
+        dz[t, :hidden] = dc * gg
+        dz[t, hidden : 2 * hidden] = dc * cs[t - 1] if t else 0.0
+        dz[t, 2 * hidden : 3 * hidden] = dh * tanh_c[t]
+        dz[t, 3 * hidden :] = dc * i
+        dz[t] *= slope[t]
+        dc_next = dc * f
+        if t:
+            dh_next = dz[t] @ w_h.T
+    return dz @ w_x.T, x.T @ dz, hs[:-1].T @ dz[1:], dz.sum(axis=0, keepdims=True)
 
 
 def cnn_forward_relu_then_pool(image, params, training=False, rng_seed=None):

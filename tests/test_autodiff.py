@@ -9,7 +9,7 @@ from evpose import autodiff as ad
 from evpose.errors import NumericError, ShapeError
 from oracles import conv2d_loops as conv2d_loop_oracle
 from oracles import conv2d_tensordot
-from oracles import lstm_forward_allocating, maxpool_argmax, maxpool_loops
+from oracles import lstm_backward_allocating, lstm_forward_allocating, maxpool_argmax, maxpool_loops
 
 
 def fd_gradients(f, params, eps=1e-6):
@@ -186,7 +186,7 @@ class TestForwardValues:
         [pytest.param(scale, hidden, id=name if hidden == 64 else f"{name}-H{hidden}")
          for hidden in (64, 8, 3, 1) for scale, name in ((0.2, "moderate"), (10.0, "saturating"))],
     )
-    def test_lstm_sequence_matches_earlier_allocating_loop_bytes(self, monkeypatch, scale, hidden):
+    def test_lstm_sequence_matches_earlier_allocating_loop_bytes(self, scale, hidden):
         # 16 steps of width 16, as in the desk model's first layer, whose H
         # is 64; the smaller H put the single tanh's 4H row on SIMD tails.
         # At scale 10 the gate pre-activations spread to about +-40.
@@ -197,13 +197,9 @@ class TestForwardValues:
         for a, b in zip(got, want):
             assert a.tobytes() == b.tobytes()
         g = rng.standard_normal((16, hidden))
-
-        def vjp():
-            return ad.lstm_sequence(*(ad.parameter(a) for a in [x, *weights]))._vjp(g)
-
-        gradients = vjp()
-        monkeypatch.setattr(ad, "lstm_forward", lstm_forward_allocating)
-        for a, b in zip(gradients, vjp()):
+        # dx, dw_x, dw_h and db against the allocating vjp loop
+        gradients = ad.lstm_sequence(*(ad.parameter(a) for a in [x, *weights]))._vjp(g)
+        for a, b in zip(gradients, lstm_backward_allocating(x, *weights[:2], *want, g), strict=True):
             assert a.tobytes() == b.tobytes()
 
     def test_lstm_sequence_matches_per_gate_graph(self):
@@ -487,6 +483,26 @@ class TestSgd:
         ad.sgd_step([p], {p: np.ones((3, 2))}, state)
         assert np.array_equal(p.data, np.full((3, 2), 0.5))
 
+    @pytest.mark.parametrize("layout", ["fortran", "step-sliced"])
+    @pytest.mark.parametrize("outer", [False, True], ids=["dense", "outer"])
+    def test_non_contiguous_parameter_or_velocity_is_rejected(self, layout, outer):
+        # sgd_step updates through flat views, which such an array has not
+        def make(fill):
+            if layout == "fortran":
+                return np.asfortranarray(np.full((4, 3), fill))
+            return np.full((8, 3), fill)[::2]
+
+        g = ad.Outer(np.ones(4), np.ones(3))
+        g = g if outer else np.asarray(g)
+        for p, v in (
+            (ad.Tensor(make(1.0), requires_grad=True), np.zeros((4, 3))),
+            (ad.parameter(np.ones((4, 3))), make(0.0)),
+        ):
+            state = ad.OptState(lr=0.5, momentum=0.0, weight_decay=0.0, velocity=[v])
+            with pytest.raises(ShapeError, match="C-contiguous"):
+                ad.sgd_step([p], {p: g}, state)
+            assert np.array_equal(p.data, np.ones((4, 3))) and not v.any()
+
     def test_non_finite_gradient_aborts(self):
         p = ad.parameter(np.ones(3))
         state = ad.make_opt_state([p], lr=0.1, momentum=0.0, weight_decay=0.0)
@@ -507,15 +523,28 @@ class TestSgd:
     def test_non_finite_outer_gradient_leaves_every_tensor_untouched(self, u, v):
         assert_last_gradient_rejected(ad.Outer(np.array(u), np.array(v)))
 
-    @pytest.mark.parametrize("shape", [(300, 7), (4096, 256), (1, 5), (5000, 7), (3, 40000)])
+    @pytest.mark.parametrize(
+        "shape", [(300, 7), (4096, 256), (4097, 256), (1, 5), (5000, 7), (3, 40000)]
+    )
     @pytest.mark.parametrize("weight_decay", [0.0, 1e-3])
-    def test_outer_gradient_steps_match_dense(self, shape, weight_decay):
+    @pytest.mark.parametrize("momentum", [0.9, 0.0])
+    @pytest.mark.parametrize("special", [False, True], ids=["normal", "zeros-tiny-huge"])
+    def test_outer_gradient_steps_match_dense(self, shape, weight_decay, momentum, special):
+        # (4097, 256) leaves a one-row final block. Momentum 0 makes -0.0
+        # velocities (v *= 0). ``special`` factors hold signed zeros, the
+        # smallest subnormal and magnitudes near 1e+-150 whose products stay
+        # finite, so fill-then-scale must keep the bytes of np.asarray(Outer).
         rng = np.random.default_rng(shape[0] * shape[1])
         factored, dense = (ad.parameter(rng.standard_normal(shape)) for _ in range(2))
         dense.data[...] = factored.data
-        states = [ad.make_opt_state([p], 0.05, 0.9, weight_decay) for p in (factored, dense)]
+        states = [ad.make_opt_state([p], 0.05, momentum, weight_decay) for p in (factored, dense)]
         for _ in range(3):
-            g = ad.Outer(rng.standard_normal(shape[0]), rng.standard_normal(shape[1]))
+            u, v = rng.standard_normal(shape[0]), rng.standard_normal(shape[1])
+            if special:  # every other element
+                values = [0.0, -0.0, 5e-324, -5e-324, 1e150, -1e150, 1e-150, -1e-150]
+                for factor in (u, v):
+                    factor[::2] = rng.choice(values, factor[::2].size)
+            g = ad.Outer(u, v)
             ad.sgd_step([factored], {factored: g}, states[0])
             ad.sgd_step([dense], {dense: np.asarray(g)}, states[1])
             assert factored.data.tobytes() == dense.data.tobytes()
