@@ -48,8 +48,7 @@ print(f"{len(windows)} windows ({skipped} intervals had no events); "
 
 # What the camera actually "sees": the full edge mask at one pose, versus
 # the event image, which only shows pixels that changed inside a window.
-pose = poses[20]
-mask = synth.render_edge_frame(scene, pose.p, pose.q)
+mask = synth.render_edge_frame(scene, poses.p[20], poses.q[20])
 mask_image = build_image(events[:0], scene.sensor_h, scene.sensor_w)  # no events: the 0.5 background
 mask_image.pixels[mask] = 1.0
 write_pgm(mask_image, os.path.join(OUT, "edge_mask.pgm"))

@@ -30,7 +30,7 @@ print(f"parsed {len(events)} events, {len(poses)} poses")
 # One structured array per stream: columns t (s), x, y (pixels), rho (+-1).
 first = events[0]
 print(f"first event: t={first['t']:.6f} x={first['x']} y={first['y']} rho={first['rho']:+d}")
-print(f"first pose: t={poses[0].t:.4f} p={poses[0].p.round(3)} q={poses[0].q.round(3)}")
+print(f"first pose: t={poses.t[0]:.4f} p={poses.p[0].round(3)} q={poses.q[0].round(3)}")
 
 windows, skipped = window_events(events, poses)
 print(f"{len(windows)} windows, {skipped} empty intervals dropped; each window's events "
@@ -38,7 +38,7 @@ print(f"{len(windows)} windows, {skipped} empty intervals dropped; each window's
 
 w = windows[10]
 print(f"window {w.sequence_index}: {len(w.events)} events in "
-      f"({poses[w.sequence_index].t:.4f}, {w.label.t:.4f}], labeled with the pose at the end")
+      f"({poses.t[w.sequence_index]:.4f}, {w.label.t:.4f}], labeled with the pose at the end")
 
 # Event images: 0.5 background, 1.0 where the newest event was positive,
 # 0.0 where it was negative.

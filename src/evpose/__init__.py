@@ -34,7 +34,6 @@ from .event_image import EventImage, build_image, image_from_window, select_frac
 from .events import (
     EVENT_DTYPE,
     EventWindow,
-    PoseLabel,
     Poses,
     canonicalize_quaternion,
     format_events,

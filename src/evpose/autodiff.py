@@ -2,7 +2,7 @@
 
 The op catalogue expresses the pose-regression network, its loss and the
 per-gate LSTM graph that tests compare against: elementwise arithmetic,
-matmul, conv2d, maxpool2d, sigmoid/tanh/relu, reshape/concat/slice, a full
+matmul, conv2d, maxpool2d, sigmoid/tanh/relu, reshape/slice, a full
 sum, an L2 norm, seeded inverted dropout and ``lstm_sequence``, a whole
 LSTM layer run over a sequence as one graph node with a hand-written
 backprop-through-time vjp. ``linear_pair`` is no fused op: it composes
@@ -412,25 +412,6 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     if math.prod(shape) != x.data.size:
         raise ShapeError(f"reshape: cannot view {orig} as {shape}")
     return _node(x.data.reshape(shape), (x,), lambda g: (g.reshape(orig),))
-
-
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    if not tensors:
-        raise ShapeError("concat: need at least one tensor")
-    datas = [t.data for t in tensors]
-    ndim = datas[0].ndim
-    if any(d.ndim != ndim for d in datas):
-        raise ShapeError(f"concat: rank mismatch {[d.shape for d in datas]}")
-    try:
-        out = np.concatenate(datas, axis=axis)
-    except ValueError as exc:
-        raise ShapeError(f"concat: {exc}") from None
-    offsets = np.cumsum([d.shape[axis] for d in datas])[:-1]
-
-    def vjp(g: Array) -> tuple:
-        return tuple(np.split(g, offsets, axis=axis))
-
-    return _node(out, tuple(tensors), vjp)
 
 
 def slice_along(x: Tensor, axis: int, start: int, stop: int) -> Tensor:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import model as _model
 from .event_image import image_from_window
-from .events import EventWindow, PoseLabel
+from .events import EventWindow, Poses
 from .model import ModelParams, PosePrediction, vector_norm
 
 
@@ -88,12 +88,12 @@ class RobustnessTable:
         )
 
 
-def position_error(pred: PosePrediction, label: PoseLabel) -> float:
+def position_error(pred: PosePrediction, label: Poses) -> float:
     """Euclidean distance between predicted and groundtruth positions."""
     return vector_norm(pred.p_hat - label.p)
 
 
-def orientation_error(pred: PosePrediction, label: PoseLabel) -> float:
+def orientation_error(pred: PosePrediction, label: Poses) -> float:
     """Rotation angle between the two orientations, in degrees (0..180).
 
     Equals 2*acos(min(1, |q_hat . q|)) * 180/pi, evaluated in the

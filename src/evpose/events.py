@@ -10,13 +10,14 @@ Text formats:
 
 A parsed event stream is one numpy structured array of ``EVENT_DTYPE``
 (13 bytes per event), and a parsed pose stream a ``Poses`` of three
-columns. A window is a slice of the events: a view, unless the stream had
-to be sorted by time first. Both formats are read by numpy's C reader when
-the text is plain ASCII; anything that reader refuses, and any value the
-vectorised checks reject, sends the whole text through the per-line
-parser, which raises the error of the first bad line (with its line
-number) or accepts the spellings Python's ``float``/``int`` accept
-(``1_0``, non-ASCII digits) with the same values.
+columns. A window is a slice of the events, a view unless the stream had
+to be sorted by time first, and its label a ``Poses`` of one pose. Both
+formats are read by numpy's C reader when the text is plain ASCII;
+anything that reader refuses, and any value the vectorised checks
+reject, sends the whole text through the per-line parser, which raises
+the error of the first bad line (with its line number) or accepts the
+spellings Python's ``float``/``int`` accept (``1_0``, non-ASCII digits)
+with the same values.
 
 Quaternions are normalized to unit length and sign-canonicalized (qw >= 0)
 at ingestion so that Euclidean quaternion distances live on a single
@@ -55,29 +56,17 @@ _SPLITLINES_ONLY_BREAKS = "\x0b\x0c\x1c\x1d\x1e"
 
 
 @dataclass(eq=False)
-class PoseLabel:
-    """Camera pose: position in meters and unit quaternion (qx, qy, qz, qw)."""
-
-    t: float
-    p: np.ndarray
-    q: np.ndarray
-
-
-@dataclass(eq=False)
 class Poses:
-    """A pose stream as columns: times ``t`` (n,), positions ``p`` (n, 3)
-    and canonical unit quaternions ``q`` (n, 4). ``poses[i]`` is the
-    PoseLabel of row i, whose arrays are views of the columns."""
+    """Camera poses as columns: times ``t`` (n,), positions ``p`` (n, 3) in
+    meters and canonical unit quaternions ``q`` (n, 4) as (qx, qy, qz, qw).
+    A window's label is one pose: a float ``t``, ``p`` (3,) and ``q`` (4,)."""
 
-    t: np.ndarray
+    t: np.ndarray | float
     p: np.ndarray
     q: np.ndarray
 
     def __len__(self) -> int:
         return len(self.t)
-
-    def __getitem__(self, i: int) -> PoseLabel:
-        return PoseLabel(float(self.t[i]), self.p[i], self.q[i])
 
 
 @dataclass(eq=False)
@@ -91,7 +80,7 @@ class EventWindow:
     """
 
     events: np.ndarray
-    label: PoseLabel
+    label: Poses
     sequence_index: int
 
 
@@ -346,7 +335,7 @@ def window_events(events: np.ndarray, poses: Poses) -> tuple[list[EventWindow], 
         if start == stop:
             skipped_empty += 1
             continue
-        windows.append(EventWindow(events[start:stop], PoseLabel(*label), i))
+        windows.append(EventWindow(events[start:stop], Poses(*label), i))
     return windows, skipped_empty
 
 

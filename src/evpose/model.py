@@ -24,7 +24,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import DegenerateOutputError, NumericError, ShapeError
 from .event_image import EventImage
-from .events import PoseLabel
+from .events import Poses
 
 
 @dataclass(frozen=True)
@@ -255,7 +255,7 @@ def forward(
     return pose_head(h, params)
 
 
-def pose_loss(pred: Tensor, label: PoseLabel) -> Tensor:
+def pose_loss(pred: Tensor, label: Poses) -> Tensor:
     """||p_hat - p||_2 + ||q_hat - q||_2 with the raw (unnormalized) q_hat."""
     if pred.data.shape != (1, 7):
         raise ShapeError(f"pose_loss expects a (1, 7) prediction, got {pred.data.shape}")

@@ -221,18 +221,20 @@ def load_checkpoint(path) -> Checkpoint:
             raise CheckpointError(f"unreadable checkpoint header: {exc}") from None
         parsed = _parse_header(header)
         manifest = param_manifest(parsed.model)
+        # parameters, then velocities: checked before reading, so a header
+        # cannot make the reader ask for more memory than the file holds
+        declared = 2 * 8 * sum(math.prod(shape) for _, shape in manifest)
+        held = os.fstat(f.fileno()).st_size - f.tell()
+        if declared != held:
+            raise CheckpointError(
+                f"checkpoint header declares {declared} bytes of arrays, the file holds {held}"
+            )
 
         def read_array(shape):
-            count = math.prod(shape)
-            raw = f.read(count * 8)
-            if len(raw) != count * 8:
-                raise CheckpointError("truncated checkpoint data")
-            return np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            return np.frombuffer(f.read(math.prod(shape) * 8), dtype="<f8").reshape(shape).copy()
 
         tensors = {name: ad.parameter(read_array(shape)) for name, shape in manifest}
         velocity = [read_array(shape) for _, shape in manifest]
-        if f.read(1):
-            raise CheckpointError("trailing data after checkpoint arrays")
     return Checkpoint(
         params=ModelParams(parsed.model, tensors),
         opt_state=ad.OptState(velocity=velocity, **asdict(parsed.optimizer)),

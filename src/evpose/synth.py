@@ -34,6 +34,9 @@ from .errors import DataError
 from .events import EVENT_DTYPE, Poses, canonicalize_quaternion, format_events, format_poses
 
 _Z_NEAR = 1e-3
+# Projected coordinates beyond it are rejected: up to it one ulp is at most
+# 1/256 px, so rounding in the clip cannot move an end by a pixel.
+_MAX_PROJECTED = 2.0**44
 _ROWS_PER_PASS = 1 << 16  # (frame, segment) rows per array pass: bounds the renderer's temporaries
 _MAX_MASK_PIXELS = 1 << 29  # samples * sensor pixels: the masks and their frame-to-frame diff take a byte each
 
@@ -180,6 +183,8 @@ def _clip_rows(
     row goes through the same steps, in the same order, as one segment
     drawn on its own. Returns the indices ``frame * n_segments + segment``
     of the rows left inside the image and their clipped (x0, y0, x1, y1).
+    A row in front of the near plane that projects beyond ±2**44 px, or to
+    no finite point, is a DataError naming its segment.
     """
     w, h = config.sensor_w, config.sensor_h
     ends = np.asarray(config.segments, dtype=np.float64).reshape(-1, 3)  # a0, b0, a1, b1, ...
@@ -203,6 +208,12 @@ def _clip_rows(
         y0 = config.focal * pa[:, 1] / pa[:, 2] + cy
         x1 = config.focal * pb[:, 0] / pb[:, 2] + cx
         y1 = config.focal * pb[:, 1] / pb[:, 2] + cy
+        far = keep & ~(np.abs(np.stack([x0, y0, x1, y1])) <= _MAX_PROJECTED).all(axis=0)  # NaN is far
+        if far.any():
+            segment = np.argmax(far) % len(config.segments)
+            raise DataError(
+                f"segment {segment} does not project to finite image coordinates within ±2**44 px"
+            )
 
         # Liang-Barsky against [0, w - 1] x [0, h - 1], one boundary at a time
         dx, dy = x1 - x0, y1 - y0
@@ -217,10 +228,6 @@ def _clip_rows(
         rows = np.flatnonzero(keep)
         t0, t1, x0, y0, dx, dy = (v[rows] for v in (t0, t1, x0, y0, dx, dy))
         clipped = np.stack([x0 + t0 * dx, y0 + t0 * dy, x0 + t1 * dx, y0 + t1 * dy], axis=1)
-    finite = np.isfinite(clipped).all(axis=1)
-    if not finite.all():
-        segment = rows[np.argmin(finite)] % len(config.segments)
-        raise DataError(f"segment {segment} does not project to finite image coordinates")
     return rows, clipped
 
 

@@ -20,7 +20,7 @@ from evpose import autodiff as ad
 from evpose import model as m
 from evpose.errors import BoundsError, InvalidRotationError, OrderingError, ParseError
 from evpose.event_image import image_from_window
-from evpose.events import EVENT_DTYPE, PoseLabel, canonicalize_quaternion
+from evpose.events import EVENT_DTYPE, Poses, canonicalize_quaternion
 from evpose.pipeline import Checkpoint
 
 
@@ -105,7 +105,7 @@ def parse_events_lines(text, sensor_w, sensor_h):
 
 
 def parse_poses_lines(text):
-    """The per-line groundtruth parser: a list of PoseLabels with
+    """The per-line groundtruth parser: a list of one-pose Poses with
     canonicalized quaternions, or the error of the first bad line. This is
     the library's earlier ``parse_poses``."""
     poses = []
@@ -133,7 +133,7 @@ def parse_poses_lines(text):
             q = canonicalize_quaternion(vals[4:8])
         except InvalidRotationError as exc:
             raise InvalidRotationError(f"line {line_no}: {exc}") from None
-        poses.append(PoseLabel(t, np.array(vals[1:4], dtype=np.float64), q))
+        poses.append(Poses(t, np.array(vals[1:4], dtype=np.float64), q))
     return poses
 
 

@@ -21,7 +21,7 @@ from evpose.event_image import build_image, select_fraction
 from evpose.events import (
     EVENT_DTYPE,
     EventWindow,
-    PoseLabel,
+    Poses,
     parse_events,
     parse_poses,
     split_novel,
@@ -73,7 +73,7 @@ def test_criterion_1_gradient_correctness():
     image = build_image(
         np.array([(0.001, 2, 3, 1), (0.002, 5, 1, -1), (0.003, 6, 6, 1)], EVENT_DTYPE), 8, 8
     )
-    label = PoseLabel(0.0, np.array([0.1, -0.2, 0.3]), np.array([0.0, 0.0, 0.0, 1.0]))
+    label = Poses(0.0, np.array([0.1, -0.2, 0.3]), np.array([0.0, 0.0, 0.0, 1.0]))
 
     def f(_params):
         out = model.forward(image, params, training=True, rng_seed=99)
@@ -175,7 +175,7 @@ def test_criterion_5_end_to_end_overfit(overfit_run):
 
 def test_criterion_6_split_contracts():
     def make_windows(n):
-        label = PoseLabel(1.0, np.zeros(3), np.array([0.0, 0.0, 0.0, 1.0]))
+        label = Poses(1.0, np.zeros(3), np.array([0.0, 0.0, 0.0, 1.0]))
         return [EventWindow(np.array([(0.5, 0, 0, 1)], EVENT_DTYPE), label, i) for i in range(n)]
 
     for n in (3, 10, 101):
@@ -232,8 +232,8 @@ def test_criterion_8_metric_properties():
         q2 = rng.standard_normal(4)
         q2 /= np.linalg.norm(q2)
         pred = model.PosePrediction(np.zeros(3), q.copy(), q.copy())
-        mirrored = PoseLabel(0.0, np.zeros(3), -q)
-        other = PoseLabel(0.0, np.zeros(3), q2)
+        mirrored = Poses(0.0, np.zeros(3), -q)
+        other = Poses(0.0, np.zeros(3), q2)
         assert evaluation.orientation_error(pred, mirrored) == 0.0
         err = evaluation.orientation_error(pred, other)
         assert 0.0 <= err <= 180.0
@@ -242,7 +242,7 @@ def test_criterion_8_metric_properties():
     identity = np.array([0.0, 0.0, 0.0, 1.0])
     err = evaluation.orientation_error(
         model.PosePrediction(np.zeros(3), q_hat.copy(), q_hat.copy()),
-        PoseLabel(0.0, np.zeros(3), identity),
+        Poses(0.0, np.zeros(3), identity),
     )
     oracle = rotation_angle_deg(q_hat, identity)
     assert abs(err - 90.0) < 1e-9

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import csv
 import dataclasses
 import io
 import json
@@ -123,6 +124,15 @@ class TestSynthAndConvert:
         first_pgm = (out / sorted(pgms)[0]).read_text().splitlines()
         assert first_pgm[0] == "P2"
         assert first_pgm[1] == "64 64"
+        windows, _ = window_events(
+            parse_events((dataset_dir / "events.txt").read_text(), 64, 64),
+            parse_poses((dataset_dir / "groundtruth.txt").read_text()),
+        )
+        rows = list(csv.reader(index[1:]))
+        assert [row[0] for row in rows] == [str(w.sequence_index) for w in windows]
+        for row, w in zip(rows, windows):
+            assert row[3:] == [repr(v) for v in [w.label.t, *w.label.p.tolist(), *w.label.q.tolist()]]
+            assert not any("np.float64(" in cell for cell in row)
 
     def test_convert_bad_events_is_data_error(self, dataset_dir, tmp_path):
         bad = tmp_path / "bad_events.txt"
@@ -291,6 +301,13 @@ def _edited(base, path, value=_DROP):
     return json.dumps(d)
 
 
+def _declare_feature_dim(header, feature_dim):
+    """Edit a checkpoint header to a model of ``feature_dim`` and that model's manifest."""
+    header["model"]["feature_dim"] = feature_dim
+    model = config.from_dict(m.ModelConfig, header["model"])
+    header["params"] = [{"name": name, "shape": list(shape)} for name, shape in m.param_manifest(model)]
+
+
 # (command, payload, exit code, fragment of the message). A train, synth, eval
 # or robustness payload is the --config file's content, a
 # convert-events/convert-poses payload the bytes of that data file, an
@@ -329,6 +346,8 @@ _BAD_INPUTS = {
                               "10000000 samples of 64x64 pixels exceed"),
     "synth-segment-not-finite": ("synth", _edited(_SCENE, ["segments", 1], [[0.0, 0.0, 1e308], [0.0, 0.0, -1e308]]), 2,
                                  "segment 1 does not project to finite image coordinates"),
+    "synth-focal-1e17": ("synth", _edited(_SCENE, ["focal"], 1e17), 2,
+                         "segment 0 does not project to finite image coordinates within ±2**44 px"),
     "synth-phase-overflow": ("synth", _edited(_SCENE, ["trajectory", "position_frequency_hz"], [1e308, 0, 0]), 2,
                              "trajectory.position_frequency_hz[0] makes the phase 2*pi*f*t + phase non-finite"),
     "synth-position-overflow": ("synth", _edited(json.loads(_edited(_SCENE, ["trajectory", "position_base"], [1.7e308, 0, 0])),
@@ -339,6 +358,8 @@ _BAD_INPUTS = {
     "eval-header-no-model": ("eval-header", lambda h: h.pop("model"), 2, "header: missing key 'model'"),
     "eval-header-nested-missing": ("eval-header", lambda h: h["optimizer"].pop("lr"), 2, "header.optimizer: missing key 'lr'"),
     "eval-header-unknown-key": ("eval-header", lambda h: h.update(note="x"), 2, "header: unknown key(s) 'note'"),
+    "eval-header-data-size": ("eval-header", lambda h: _declare_feature_dim(h, 10**12), 2,
+                              "checkpoint header declares 1040000512009776 bytes of arrays, the file holds 28464"),
     "convert-events-not-utf8": ("convert-events", b"0.1 1 1 1\n0.2 2 \xff 1\n", 2, "line 2: not UTF-8 text"),
     "convert-events-not-utf8-cr-lines": ("convert-events", b"0.1 1 1 1\r0.2 2 2 1\r0.3 3 \xff 1\r", 2,
                                          "line 3: not UTF-8 text"),

@@ -9,7 +9,7 @@ import pytest
 
 from evpose import evaluation as ev
 from evpose import model as m
-from evpose.events import EVENT_DTYPE, EventWindow, PoseLabel
+from evpose.events import EVENT_DTYPE, EventWindow, Poses
 from evpose.model import PosePrediction
 from oracles import rotation_angle_deg
 
@@ -20,7 +20,7 @@ def pred(p=(0, 0, 0), q=(0, 0, 0, 1)):
 
 
 def label(p=(0, 0, 0), q=(0, 0, 0, 1), t=0.0):
-    return PoseLabel(t, np.asarray(p, dtype=float), np.asarray(q, dtype=float))
+    return Poses(t, np.asarray(p, dtype=float), np.asarray(q, dtype=float))
 
 
 def random_unit_quat(rng):

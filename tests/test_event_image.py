@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from evpose.errors import BoundsError
 from evpose.event_image import EventImage, build_image, select_fraction, to_pgm
-from evpose.events import EVENT_DTYPE, EventWindow, PoseLabel
+from evpose.events import EVENT_DTYPE, EventWindow, Poses
 from oracles import latest_event_image as latest_event_oracle
 
 
@@ -14,7 +14,7 @@ def events(*rows):
 
 
 def make_window(window_events):
-    label = PoseLabel(1.0, np.zeros(3), np.array([0.0, 0.0, 0.0, 1.0]))
+    label = Poses(1.0, np.zeros(3), np.array([0.0, 0.0, 0.0, 1.0]))
     return EventWindow(window_events, label, 0)
 
 

@@ -206,13 +206,13 @@ def test_format_events_matches_per_line_oracle(rows):
 class TestParsePoses:
     def test_normalization(self):
         poses = parse_poses("0.0 1 2 3 0 0 0 2\n")
-        assert poses[0].t == 0.0
-        assert poses[0].p.tolist() == [1.0, 2.0, 3.0]
-        assert poses[0].q.tolist() == [0.0, 0.0, 0.0, 1.0]
+        assert poses.t[0] == 0.0
+        assert poses.p[0].tolist() == [1.0, 2.0, 3.0]
+        assert poses.q[0].tolist() == [0.0, 0.0, 0.0, 1.0]
 
     def test_sign_canonicalization_double_cover(self):
         poses = parse_poses("0.0 0 0 0 0 0 0 -1\n")
-        assert poses[0].q.tolist() == [0.0, 0.0, 0.0, 1.0]
+        assert poses.q[0].tolist() == [0.0, 0.0, 0.0, 1.0]
 
     def test_zero_quaternion_rejected(self):
         with pytest.raises(InvalidRotationError):
@@ -230,7 +230,7 @@ class TestParsePoses:
 
     def test_qw_zero_uses_first_nonzero_component(self):
         poses = parse_poses("0.0 0 0 0 0 -1 0 0\n")
-        assert poses[0].q.tolist() == [0.0, 1.0, 0.0, 0.0]
+        assert poses.q[0].tolist() == [0.0, 1.0, 0.0, 0.0]
 
     def test_unit_norm_invariant(self):
         rng = np.random.default_rng(9)
@@ -239,9 +239,9 @@ class TestParsePoses:
             q = [float(v) for v in rng.standard_normal(4) * 3]
             lines.append(f"{i * 0.01} 0 0 0 {q[0]!r} {q[1]!r} {q[2]!r} {q[3]!r}")
         poses = parse_poses("\n".join(lines))
-        for pose in poses:
-            assert abs(np.linalg.norm(pose.q) - 1.0) < 1e-9
-            assert pose.q[3] >= 0.0
+        for q in poses.q:
+            assert abs(np.linalg.norm(q) - 1.0) < 1e-9
+            assert q[3] >= 0.0
 
     def test_round_trip(self):
         rng = np.random.default_rng(4)
@@ -251,10 +251,9 @@ class TestParsePoses:
             lines.append(f"{i * 0.005!r} " + " ".join(repr(v) for v in vals))
         poses = parse_poses("\n".join(lines))
         reparsed = parse_poses(format_poses(poses))
-        for a, b in zip(poses, reparsed):
-            assert a.t == b.t
-            assert a.p.tolist() == b.p.tolist()
-            assert a.q.tolist() == b.q.tolist()
+        assert poses.t.tolist() == reparsed.t.tolist()
+        assert poses.p.tolist() == reparsed.p.tolist()
+        assert poses.q.tolist() == reparsed.q.tolist()
 
     def test_canonicalize_idempotent(self):
         rng = np.random.default_rng(17)
@@ -264,8 +263,13 @@ class TestParsePoses:
             assert q1.tolist() == q2.tolist()
 
 
+def _columns(poses):
+    """The (n, 8) rows of a pose stream."""
+    return np.column_stack((poses.t, poses.p, poses.q))
+
+
 def _pose_rows(poses):
-    """The (n, 8) rows of a Poses or of a list of PoseLabels."""
+    """The (n, 8) rows of a list of one-pose Poses."""
     return np.array([[pose.t, *pose.p.tolist(), *pose.q.tolist()] for pose in poses], dtype=np.float64).reshape(-1, 8)
 
 
@@ -310,6 +314,7 @@ def _pose_texts(draw):
         t += step
         position = [draw(st.floats(-10.0, 10.0)) for _ in range(3)]
         fields.append([repr(v) for v in [t, *position, *draw(_quaternions())]])
+    separators = [[draw(st.sampled_from([" ", "\t", "  "])) for _ in range(7)] for _ in range(n)]
     extra_lines = []
     for kind in draw(st.lists(st.sampled_from(["field", "time", "line"]), max_size=2)):
         if kind == "field" and n:
@@ -319,7 +324,7 @@ def _pose_texts(draw):
             fields[i][0] = fields[i - 1][0]  # not after the previous line
         elif kind == "line":
             extra_lines.append(draw(st.sampled_from(["", "   ", "\t", "0.1 0 0 0 0 0 0", "0 0 0 0 0 0 0 1 0"])))
-    rows = [" ".join(row) for row in fields]
+    rows = ["".join(f + sep for f, sep in zip(row, seps + [""])) for row, seps in zip(fields, separators)]
     for line in extra_lines:
         rows.insert(draw(st.integers(0, len(rows))), line)
     end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
@@ -337,7 +342,7 @@ def test_parse_poses_matches_per_line_oracle(text):
     if isinstance(want[0], tuple):
         assert got == want
     else:
-        assert np.column_stack((got[0].t, got[0].p, got[0].q)).tobytes() == _pose_rows(want[0]).tobytes()
+        assert _columns(got[0]).tobytes() == _pose_rows(want[0]).tobytes()
         assert got[1] == want[1]
 
 
@@ -348,7 +353,7 @@ def test_valid_poses_never_reach_the_per_line_parser(monkeypatch, end):
 
     monkeypatch.setattr(events_module, "_parse_pose_lines", refuse)
     text = end.join(["0.1 1 2 3 0 0 0 -1", "", "0.2 4 5 6 -0.0 0.6 -0.0 -0.8", "0.3 7 8 9 0.5 0.5 0.5 0.5"]) + end
-    assert _pose_rows(parse_poses(text)).tobytes() == _pose_rows(parse_poses_lines(text)).tobytes()
+    assert _columns(parse_poses(text)).tobytes() == _pose_rows(parse_poses_lines(text)).tobytes()
 
 
 @pytest.mark.parametrize("offset", _NORM_OFFSETS + [-v for v in _NORM_OFFSETS])
@@ -360,7 +365,7 @@ def test_norms_near_the_pass_through_bound_match_the_oracle(offset):
         q *= (1.0 + offset) / np.linalg.norm(q)
         lines.append(" ".join(repr(float(v)) for v in [i * 0.01, 0.0, 0.0, 0.0, *q]))
     text = "\n".join(lines)
-    assert _pose_rows(parse_poses(text)).tobytes() == _pose_rows(parse_poses_lines(text)).tobytes()
+    assert _columns(parse_poses(text)).tobytes() == _pose_rows(parse_poses_lines(text)).tobytes()
 
 
 class TestWindowEvents:
@@ -408,7 +413,7 @@ class TestWindowEvents:
         )
         windows, _ = window_events(evs, poses)
         retained = [e for w in windows for e in w.events.tolist()]
-        in_range = [e for e in evs.tolist() if poses[0].t < e[0] <= poses[-1].t]
+        in_range = [e for e in evs.tolist() if poses.t[0] < e[0] <= poses.t[-1]]
         assert sorted(retained) == sorted(in_range)
         # each retained event appears exactly once
         assert len(retained) == len(in_range)

@@ -11,7 +11,7 @@ from evpose import config
 from evpose import model as m
 from evpose.errors import DegenerateOutputError, ShapeError
 from evpose.event_image import EventImage, build_image
-from evpose.events import EVENT_DTYPE, PoseLabel
+from evpose.events import EVENT_DTYPE, Poses
 from oracles import cnn_forward_relu_then_pool, lstm_sequence_scalar, lstm_step_scalar
 
 
@@ -248,7 +248,7 @@ class TestPoseHead:
 
 class TestPoseLoss:
     def label(self, p=(0.0, 0.0, 0.0), q=(0.0, 0.0, 0.0, 1.0)):
-        return PoseLabel(0.0, np.array(p, dtype=float), np.array(q, dtype=float))
+        return Poses(0.0, np.array(p, dtype=float), np.array(q, dtype=float))
 
     def test_exact_prediction_zero_loss(self):
         pred = ad.tensor(np.array([[1.0, 2.0, 3.0, 0.0, 0.0, 0.0, 1.0]]))

@@ -8,7 +8,7 @@ from evpose import config, evaluation, pipeline
 from evpose import model as m
 from evpose.errors import CheckpointError, InsufficientDataError
 from evpose.event_image import image_from_window
-from evpose.events import EVENT_DTYPE, EventWindow, PoseLabel
+from evpose.events import EVENT_DTYPE, EventWindow, Poses
 from oracles import train_accumulating
 
 
@@ -30,7 +30,7 @@ def make_windows(n, rng, h=8, w=8):
         q /= np.linalg.norm(q)
         if q[3] < 0:
             q = -q
-        label = PoseLabel(0.005 * (i + 1), rng.standard_normal(3) * 0.2, q)
+        label = Poses(0.005 * (i + 1), rng.standard_normal(3) * 0.2, q)
         windows.append(EventWindow(events, label, i))
     return windows
 

@@ -102,7 +102,7 @@ class TestGenerateDataset:
         events = parse_events(events_text, cfg.sensor_w, cfg.sensor_h)
         poses = parse_poses(poses_text)
         masks = [
-            synth.render_edge_frame(cfg, pose.p, pose.q) for pose in poses
+            synth.render_edge_frame(cfg, p, q) for p, q in zip(poses.p, poses.q)
         ]
         total_hamming = sum(
             int(np.sum(masks[i] != masks[i - 1])) for i in range(1, len(masks))
@@ -130,10 +130,10 @@ class TestGenerateDataset:
         windows, skipped = window_events(events, poses)
         assert len(windows) + skipped == len(poses) - 1
         for window in windows:
-            end = poses[window.sequence_index + 1]
-            assert window.label.t == end.t
-            assert window.label.p.tobytes() + window.label.q.tobytes() == end.p.tobytes() + end.q.tobytes()
-            lo = poses[window.sequence_index].t
+            end = window.sequence_index + 1
+            assert window.label.t == poses.t[end]
+            assert window.label.p.tobytes() + window.label.q.tobytes() == poses.p[end].tobytes() + poses.q[end].tobytes()
+            lo = poses.t[window.sequence_index]
             hi = window.label.t
             assert all(lo < t <= hi for t in window.events["t"].tolist())
 
@@ -351,19 +351,17 @@ class TestRendererOracle:
         assert events_text == ""
         assert poses_text == synth.generate_dataset(scene)[1]
 
-    def test_clip_rounding_off_the_image_draws_as_the_oracle(self):
-        """At a focal of 1e16 pixels rounding error puts clipped ends past the
-        left border; two such lines that differ only in their in-image end
-        must still be told apart."""
-        far = (-0.441482471898079, -1.3251693541021439e-15, 0.691747468160742)
-        segments = [
-            ((0.4965270711067651, -5.896638088997189e-16, 0.633696241461974), far),
-            ((0.4636302275539709, -4.847268035528276e-16, 0.5895262868562773), far),
-        ]
-        cfg = dataclasses.replace(single_segment_scene(segments), focal=1e16)
-        rows, clipped = synth._clip_rows(cfg, np.zeros((1, 3)), np.eye(3)[None])
-        assert np.rint(clipped).tolist() == [[62.0, 17.0, -1.0, 17.0], [63.0, 17.0, -1.0, 17.0]]
+    def test_projection_beyond_2_44_px_is_data_error(self):
+        """Past 2**44 px an ulp exceeds 1/256 px and rounding in the clip moves
+        ends by whole pixels: a line straight across the view drew 64, 64, 49
+        and 1 of its 64 pixels at a focal of 1e15, 1e16, 1e17 and 1e18."""
+        across = ((-1.0, 0.0, 1.0), (1.0, 0.0, 1.0))
+        cfg = dataclasses.replace(single_segment_scene([across]), focal=2.0**44 - 32)  # ends within ±2**44
+        assert synth.render_edge_frame(cfg, np.zeros(3), IDENTITY).sum() == 64
         assert_masks_match_oracle(cfg, [(np.zeros(3), IDENTITY)])
+        for focal in (1e15, 1e16, 1e17, 1e18):
+            with pytest.raises(DataError, match="segment 0 does not project to finite image coordinates within"):
+                synth.render_edge_frame(dataclasses.replace(cfg, focal=focal), np.zeros(3), IDENTITY)
 
     def test_non_finite_projection_is_data_error(self):
         fine = ((-0.3, 0.0, 2.0), (0.3, 0.0, 2.0))
