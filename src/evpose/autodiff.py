@@ -14,6 +14,9 @@ A gradient is an ndarray or an ``Outer``: the gradient of a leaf weight
 in a single-row matmul is the rank-1 product of two vectors, kept as its
 factors. ``np.asarray`` densifies an ``Outer``; ``sgd_step`` applies one
 without densifying it.
+
+``sgd_step`` alone uses scipy (BLAS ``daxpy``) and imports it on its first
+call, so ``import evpose`` and inference never load ``scipy.linalg``.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.linalg.blas import daxpy as blas_daxpy
 
 from .errors import NumericError, ShapeError
 
@@ -572,9 +574,10 @@ def sgd_step(
     same per-element operations, in the same order, as a dense gradient:
     so the product is filled, then scaled, never formed by ``dot``,
     ``einsum`` or ``dger`` (see ``Outer.blocks``). The weight decay and the
-    parameter step stay on BLAS ``daxpy``, which rounds ``y + a * x`` as one
-    fused multiply-add. Every gradient, parameter and velocity is checked
-    first, so a ShapeError or NumericError leaves all of them untouched.
+    parameter step stay on scipy's BLAS ``daxpy``, imported by the first
+    call, which rounds ``y + a * x`` as one fused multiply-add. Every
+    gradient, parameter and velocity is checked first, so a ShapeError or
+    NumericError leaves all of them untouched.
     """
     gs = [grads[p] for p in params]
     for p, g, v in zip(params, gs, state.velocity):
@@ -594,6 +597,10 @@ def sgd_step(
             finite = np.isfinite(g.sum()) or np.isfinite(g).all()
         if not finite:
             raise NumericError("non-finite gradient; optimizer step aborted")
+    # imported here, its only use: loading scipy.linalg costs about 27 MB of
+    # resident memory and 0.3 s, which inference and ingestion never need
+    from scipy.linalg.blas import daxpy as blas_daxpy
+
     lr, momentum, weight_decay = state.lr, state.momentum, state.weight_decay
     for p, g, v in zip(params, gs, state.velocity):
         theta, vel = p.data.reshape(-1), v.reshape(-1)  # views, as both are C-contiguous

@@ -11,9 +11,10 @@ epoch, loss history; read strictly) followed by the raw little-endian
 float64 parameter arrays in manifest order, then the velocity arrays in
 the same order. The manifest stores each LSTM layer as fused ``w_x``,
 ``w_h`` and ``b`` gate tensors (version 1 stored twelve per-gate tensors
-and is not readable). Files are written to a temporary name and renamed
-into place, so a failed or interrupted save leaves any previous
-checkpoint untouched.
+and is not readable). Each array is written from its own buffer and read
+into its final array, with no whole-array copy in between. Files are
+written to a temporary name and renamed into place, so a failed or
+interrupted save leaves any previous checkpoint untouched.
 """
 
 from __future__ import annotations
@@ -172,18 +173,19 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         epoch=ckpt.epoch,
         loss_history=tuple(ckpt.loss_history),
     )
+    arrays = [ckpt.params.tensors[name].data for name, _ in manifest]
+    if len(opt.velocity) != len(manifest):
+        raise CheckpointError(f"{len(opt.velocity)} velocities for {len(manifest)} parameters")
+    for (name, shape), arr, vel in zip(manifest, arrays, opt.velocity):
+        if arr.shape != shape or vel.shape != shape:
+            raise CheckpointError(f"{name}: parameter {arr.shape}, velocity {vel.shape}, manifest {shape}")
     path = os.fspath(path)
     tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as f:
             f.write(json.dumps(asdict(header)).encode("utf-8") + b"\n")
-            for name, shape in manifest:
-                arr = ckpt.params.tensors[name].data
-                if arr.shape != shape:
-                    raise CheckpointError(f"parameter {name} has shape {arr.shape}, manifest says {shape}")
-                f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-            for v in ckpt.opt_state.velocity:
-                f.write(np.ascontiguousarray(v, dtype="<f8").tobytes())
+            for arr in arrays + list(opt.velocity):
+                f.write(memoryview(np.ascontiguousarray(arr, dtype="<f8")))  # from its buffer, no copy
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):  # the save failed before the rename
@@ -231,9 +233,12 @@ def load_checkpoint(path) -> Checkpoint:
             )
 
         def read_array(shape):
-            return np.frombuffer(f.read(math.prod(shape) * 8), dtype="<f8").reshape(shape).copy()
+            arr = np.empty(shape, "<f8")
+            if f.readinto(arr) != arr.nbytes:
+                raise CheckpointError("checkpoint file ended inside its arrays")
+            return arr
 
-        tensors = {name: ad.parameter(read_array(shape)) for name, shape in manifest}
+        tensors = {name: ad.Tensor(read_array(shape), requires_grad=True) for name, shape in manifest}
         velocity = [read_array(shape) for _, shape in manifest]
     return Checkpoint(
         params=ModelParams(parsed.model, tensors),

@@ -1,4 +1,10 @@
+import dataclasses
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -273,6 +279,24 @@ class TestCheckpoint:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda v: v.pop(), lambda v: v.__setitem__(-1, np.zeros(7))],  # head.out.b is (1, 7)
+        ids=["missing", "misshaped"],
+    )
+    def test_save_rejects_velocities_off_the_manifest(self, tmp_path, edit):
+        path = tmp_path / "model.ckpt"
+        pipeline.save_checkpoint(self.ckpt, path)
+        before = path.read_bytes()
+        velocity = list(self.ckpt.opt_state.velocity)
+        edit(velocity)
+        opt = dataclasses.replace(self.ckpt.opt_state, velocity=velocity)
+        bad = pipeline.Checkpoint(self.ckpt.params, opt, self.ckpt.epoch, self.ckpt.loss_history)
+        with pytest.raises(CheckpointError, match="velocit"):
+            pipeline.save_checkpoint(bad, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
     def test_trailing_data_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"
         pipeline.save_checkpoint(self.ckpt, path)
@@ -280,3 +304,83 @@ class TestCheckpoint:
             f.write(b"extra")
         with pytest.raises(CheckpointError):
             pipeline.load_checkpoint(path)
+
+
+def test_checkpoint_io_holds_each_array_once(tmp_path):
+    """A desk-scale save holds no array-sized buffer, and a load holds
+    nothing beyond the arrays it returns: both stay under an eighth of
+    ``feat.w`` (8.4 MB). A load through a read buffer peaks about one
+    ``feat.w`` above what it keeps."""
+    rng = np.random.default_rng(17)
+    params = m.init_params(m.desk_config(), seed=17)
+    tensors = params.ordered()
+    opt = ad.make_opt_state(tensors, 1e-5, 0.9, 1e-6)
+    ad.sgd_step(tensors, {t: rng.standard_normal(t.shape) for t in tensors}, opt)  # non-zero velocities
+    ckpt = pipeline.Checkpoint(params, opt, 1, [0.5])
+    limit = params.tensors["feat.w"].data.nbytes // 8
+    path = tmp_path / "desk.ckpt"
+
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        pipeline.save_checkpoint(ckpt, path)
+        save_peak = tracemalloc.get_traced_memory()[1] - start
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        loaded = pipeline.load_checkpoint(path)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert save_peak < limit
+    assert peak - kept < limit
+
+    arrays = [t.data for t in loaded.params.ordered()] + loaded.opt_state.velocity
+    for i, a in enumerate(arrays):
+        assert a.flags.writeable and a.flags.c_contiguous
+        assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
+
+    # one step on the reloaded checkpoint matches one on the in-memory one, byte for byte
+    grads = [rng.standard_normal(t.shape) for t in tensors]
+    for c in (ckpt, loaded):
+        ts = c.params.ordered()
+        ad.sgd_step(ts, dict(zip(ts, grads)), c.opt_state)
+    for a, b in zip([t.data for t in tensors] + opt.velocity, arrays):
+        assert a.tobytes() == b.tobytes()
+
+
+_IMPORT_FOOTPRINT = """
+import sys
+
+import numpy as np
+
+import evpose.cli
+from evpose import autodiff as ad, model as m, pipeline, synth
+from evpose.event_image import image_from_window
+from evpose.events import parse_events, parse_poses, window_events
+
+scene = synth.default_scene(seed=5, rate_hz=200.0, duration=0.1)
+events_text, poses_text = synth.generate_dataset(scene)
+events = parse_events(events_text, scene.sensor_w, scene.sensor_h)
+windows, _ = window_events(events, parse_poses(poses_text))
+cfg = m.ModelConfig(input_h=64, input_w=64, conv_blocks=((4, 3, 1, 4), (4, 3, 1, 4)),
+                    feature_dim=16, lstm_hidden=8, lstm_layers=1, fc_hidden=8)
+params = m.init_params(cfg, seed=1)
+m.predict(image_from_window(windows[0], cfg.input_h, cfg.input_w), params)
+tensors = params.ordered()
+ckpt = pipeline.Checkpoint(params, ad.make_opt_state(tensors, 1e-3, 0.9, 1e-6), 0, [])
+pipeline.save_checkpoint(ckpt, sys.argv[1])
+pipeline.load_checkpoint(sys.argv[1])
+assert "scipy.linalg" not in sys.modules, "loaded before any SGD step"
+ad.sgd_step(tensors, {t: np.ones(t.shape) for t in tensors}, ckpt.opt_state)
+assert "scipy.linalg" in sys.modules, "not loaded by sgd_step"
+"""
+
+
+def test_only_sgd_step_loads_scipy_linalg(tmp_path):
+    """``scipy.linalg`` costs tens of MB of resident memory: parsing,
+    prediction and checkpoint I/O run without it, and the first SGD step
+    loads it."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    cmd = [sys.executable, "-c", _IMPORT_FOOTPRINT, str(tmp_path / "toy.ckpt")]
+    run = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
