@@ -7,7 +7,8 @@ and ``robustness`` take the ``--config`` that ``train`` read and score the
 held-out side of its split, so they see no window the model trained on.
 
 Exit codes: 0 success, 1 usage error (an out-of-range argument too),
-2 data error, 3 numeric failure. Errors are reported on one line.
+2 data error or a request too large for memory (``MemoryError``),
+3 numeric failure. Errors are reported on one line.
 """
 
 from __future__ import annotations
@@ -194,11 +195,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="checkpoint output path")
     p.set_defaults(func=_cmd_train)
 
-    for name, fn, out_help in (
-        ("eval", _cmd_eval, "report path (.json; a .csv sibling is written too)"),
-        ("robustness", _cmd_robustness, "table path (.csv; a .json sibling is written too)"),
+    for name, fn, summary, out_help in (
+        ("eval", _cmd_eval, "score a checkpoint on the test side of its train config's split",
+         "report path (.json; a .csv sibling is written too)"),
+        ("robustness", _cmd_robustness,
+         "score a checkpoint as eval does on the newest tenth, two tenths, ..., all of each test window's events",
+         "table path (.csv; a .json sibling is written too)"),
     ):
-        p = sub.add_parser(name, help=f"{name} a checkpoint on the test side of its train config's split")
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--ckpt", required=True, help="checkpoint path")
         p.add_argument("--data", required=True, help="directory with events.txt and groundtruth.txt")
         p.add_argument("--config", required=True, help="the train config JSON the checkpoint was trained with")
@@ -214,6 +218,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (DataError, OSError) as exc:
         print(f"evpose: data error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"evpose: out of memory: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:
         print(f"evpose: numeric failure: {exc}", file=sys.stderr)

@@ -278,20 +278,28 @@ def vector_norm(v: np.ndarray) -> float:
 
 
 def unit_quaternion(q_raw: np.ndarray) -> np.ndarray:
-    """Scale a raw quaternion output to unit length."""
+    """Scale a raw quaternion output to unit length.
+
+    A quaternion so small that its squares are subnormal has a norm too
+    coarse to scale it to unit length within 1e-6, the tolerance of
+    ``evaluation.orientation_error``; it is degenerate like a zero one.
+    """
     n = vector_norm(q_raw)
     if n == 0.0:
         raise DegenerateOutputError("network produced a zero-norm quaternion")
     if not math.isfinite(n):
         raise DegenerateOutputError("network produced a non-finite quaternion")
-    return q_raw / n
+    q = q_raw / n
+    if abs(vector_norm(q) - 1.0) > 1e-6:
+        raise DegenerateOutputError(f"network produced a quaternion too small to normalize (norm {n!r})")
+    return q
 
 
 def predict(image: EventImage, params: ModelParams) -> PosePrediction:
     """Deterministic inference; the quaternion is normalized here only.
 
-    Raises DegenerateOutputError for a non-finite position or a zero-norm
-    or non-finite quaternion.
+    Raises DegenerateOutputError for a non-finite position or a zero-norm,
+    non-finite or too small quaternion.
     """
     with ad.no_grad():
         out = forward(image, params, training=False)

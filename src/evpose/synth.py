@@ -16,8 +16,9 @@ same renderer with one frame. Events are read from one flat scan of the
 frame-to-frame mask difference.
 
 A trajectory whose phase or position leaves the float range at a sample
-time is a ``DataError`` naming the field, raised before anything is
-rendered or written.
+time is a ``DataError`` naming the field, raised by ``pose_at`` as the
+poses are sampled, before anything is rendered or written. The earliest
+such sample time is reported, and at that time a phase before a position.
 
 In a ``config.from_json`` scene file every ``SceneConfig`` key is
 required; ``Trajectory`` keys may be omitted and default to zero.
@@ -117,28 +118,30 @@ def quat_to_matrix(q: np.ndarray) -> np.ndarray:
 
 
 def pose_at(trajectory: Trajectory, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Sample the trajectory: position vector and unit quaternion at time t."""
-    two_pi = 2.0 * math.pi
-    p = np.array(
-        [
-            b + a * math.sin(two_pi * f * t + ph)
-            for b, a, f, ph in zip(
-                trajectory.position_base,
-                trajectory.position_amplitude,
-                trajectory.position_frequency_hz,
-                trajectory.position_phase,
-            )
-        ]
-    )
-    angles = [
-        math.radians(a) * math.sin(two_pi * f * t + ph)
-        for a, f, ph in zip(
-            trajectory.euler_amplitude_deg,
-            trajectory.euler_frequency_hz,
-            trajectory.euler_phase,
+    """Sample the trajectory: position vector and unit quaternion at time t.
+
+    A phase ``2*pi*f*t + phase`` that is not finite, and after the six
+    phases a position ``base + amplitude * sin`` that is not finite, is a
+    DataError naming its field and axis. Finite phases give finite angles.
+    """
+    tr, two_pi = trajectory, 2.0 * math.pi
+    frequencies, offsets = tr.position_frequency_hz + tr.euler_frequency_hz, tr.position_phase + tr.euler_phase
+    phases = [two_pi * f * t + ph for f, ph in zip(frequencies, offsets)]
+    finite = list(map(math.isfinite, phases))
+    if not all(finite):
+        i = finite.index(False)
+        field = ("position_frequency_hz", "euler_frequency_hz")[i // 3]
+        raise DataError(f"trajectory.{field}[{i % 3}] makes the phase 2*pi*f*t + phase non-finite at t = {float(t)!r}")
+    sines = list(map(math.sin, phases))
+    p = [b + a * s for b, a, s in zip(tr.position_base, tr.position_amplitude, sines)]
+    finite = list(map(math.isfinite, p))
+    if not all(finite):
+        i = finite.index(False)
+        raise DataError(
+            f"trajectory.position_base[{i}] + position_amplitude[{i}] makes the position non-finite at t = {float(t)!r}"
         )
-    ]
-    return p, quat_from_euler(*angles)
+    angles = [math.radians(a) * s for a, s in zip(tr.euler_amplitude_deg, sines[3:])]
+    return np.array(p), quat_from_euler(*angles)
 
 
 def _rasterize(lines: np.ndarray, w: int, h: int) -> tuple[np.ndarray, np.ndarray]:
@@ -267,29 +270,6 @@ def render_edge_frame(config: SceneConfig, p: np.ndarray, q: np.ndarray) -> np.n
     return _render_frames(config, positions, quat_to_matrix(q)[None])[0]
 
 
-def _check_phases(trajectory: Trajectory, times: np.ndarray) -> None:
-    """Raise a DataError naming the frequency whose phase ``2 pi f t + phase``
-    leaves the float range at a sample time.
-
-    numpy forms each phase with the IEEE operations of ``pose_at``, in its
-    order, so this finds exactly the samples where ``math.sin`` would fail
-    or return NaN. With finite phases every Euler angle is finite too.
-    """
-    for name, phases in (
-        ("position_frequency_hz", trajectory.position_phase),
-        ("euler_frequency_hz", trajectory.euler_phase),
-    ):
-        frequencies, phases = np.asarray(getattr(trajectory, name))[:, None], np.asarray(phases)[:, None]
-        with np.errstate(over="ignore", invalid="ignore"):
-            args = 2.0 * math.pi * frequencies * times + phases
-        overflow = np.argwhere(~np.isfinite(args))
-        if overflow.size:
-            axis, i = overflow[0]
-            raise DataError(
-                f"trajectory.{name}[{axis}] makes the phase 2*pi*f*t + phase non-finite at t = {float(times[i])!r}"
-            )
-
-
 def generate_dataset(config: SceneConfig) -> tuple[str, str]:
     """Render the trajectory and return (events text, groundtruth text)."""
     n_samples = round(config.rate_hz * config.duration)
@@ -305,17 +285,9 @@ def generate_dataset(config: SceneConfig) -> tuple[str, str]:
     dt = 1.0 / config.rate_hz
     times = [i * dt for i in range(n_samples)]
     sample_times = np.asarray(times)
-    _check_phases(config.trajectory, sample_times)
     sampled = [pose_at(config.trajectory, t) for t in times]
     positions = np.array([p for p, _ in sampled])
     quaternions = np.array([q for _, q in sampled])
-    overflow = np.argwhere(~np.isfinite(positions))
-    if overflow.size:
-        i, axis = overflow[0]
-        raise DataError(
-            f"trajectory.position_base[{axis}] + position_amplitude[{axis}] makes the position non-finite "
-            f"at t = {times[i]!r}"
-        )
     masks = _render_frames(config, positions, np.array([quat_to_matrix(q) for q in quaternions]))
 
     # flatnonzero scans frame-major, then row-major; k is the interval (times[k], times[k + 1]]

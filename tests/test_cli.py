@@ -16,9 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evpose import autodiff as ad
 from evpose import config, evaluation, pipeline, synth
 from evpose import model as m
-from evpose.cli import main
+from evpose.cli import build_parser, main
 from evpose.events import parse_events, parse_poses, split_random, window_events
 
 
@@ -77,6 +78,11 @@ class TestUsage:
         run = subprocess.run([sys.executable, "-m", "evpose", "--help"], env=env, capture_output=True, text=True, timeout=120)
         assert run.returncode == 0, run.stderr
         assert "synth" in run.stdout
+
+    def test_help_gives_eval_and_robustness_a_sentence_each(self):
+        text = " ".join(build_parser().format_help().split())
+        assert "eval score a checkpoint on the test side of its train config's split" in text
+        assert "robustness score a checkpoint as eval does on the newest tenth, two tenths, ..., all of each" in text
 
 
 class TestSynthAndConvert:
@@ -282,6 +288,24 @@ class TestTrainEvalRobustness:
         assert code == 3
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["eval", "robustness"])
+    def test_quaternion_too_small_to_normalize_is_numeric_failure(self, command, dataset_dir, tmp_path, capsys):
+        model = m.ModelConfig(input_h=64, input_w=64, conv_blocks=((2, 3, 1, 4),), feature_dim=16, lstm_hidden=4,
+                              fc_hidden=4)
+        params = m.init_params(model, seed=0)
+        params.tensors["head.out.w"].data[:] = 0.0
+        params.tensors["head.out.b"].data[:] = [0.1, 0.2, 0.3, 1e-160, 3e-161, 2e-161, 9e-161]  # subnormal squares
+        ckpt = tmp_path / "tiny_q.ckpt"
+        pipeline.save_checkpoint(pipeline.Checkpoint(params, ad.make_opt_state(params.ordered(), 1e-3, 0.9, 0.0), 0, []),
+                                 ckpt)
+        train = tiny_train_config(tmp_path, model=dataclasses.asdict(model))
+        code = main([command, "--ckpt", str(ckpt), "--data", str(dataset_dir), "--config", str(train),
+                     "--out", str(tmp_path / "out.json")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert len(err.splitlines()) == 1 and err.startswith("evpose: numeric failure: ")
+        assert "too small to normalize" in err
+
 
 _TRAIN = json.loads(config.to_json(pipeline.TrainConfig(model=m.toy_config(), epochs=1)))
 _SCENE = json.loads(config.to_json(synth.default_scene(duration=0.1)))
@@ -333,6 +357,10 @@ _BAD_INPUTS = {
     "train-pool-does-not-tile": ("train", _edited(_TRAIN, ["model", "input_h"], 9), 2, "does not tile"),
     "train-bad-json": ("train", '{"lr": 0.1,', 2, "TrainConfig: invalid JSON"),
     "train-not-object": ("train", "[]", 2, "TrainConfig: expected an object"),
+    # 64x64 so the dataset loads; the 3.64 PiB request then fails at once and allocates nothing
+    "train-feature-dim-1e12": ("train", json.dumps({**_TRAIN, "model": {**_TRAIN["model"], "input_h": 64, "input_w": 64,
+                                                                        "feature_dim": 10**12}}), 2,
+                               "evpose: out of memory: Unable to allocate"),
     "synth-missing-key": ("synth", _edited(_SCENE, ["seed"]), 2, "SceneConfig: missing key 'seed'"),
     "synth-unknown-key": ("synth", _edited(_SCENE, ["fps"], 30), 2, "unknown key(s) 'fps'"),
     "synth-nested-unknown-key": ("synth", _edited(_SCENE, ["trajectory", "spin"], [1, 2, 3]), 2,
@@ -350,6 +378,9 @@ _BAD_INPUTS = {
                          "segment 0 does not project to finite image coordinates within ±2**44 px"),
     "synth-phase-overflow": ("synth", _edited(_SCENE, ["trajectory", "position_frequency_hz"], [1e308, 0, 0]), 2,
                              "trajectory.position_frequency_hz[0] makes the phase 2*pi*f*t + phase non-finite"),
+    "synth-euler-phase-overflow": ("synth", _edited(_SCENE, ["trajectory", "euler_frequency_hz"], [0, 1e308, 0]), 2,
+                                   "trajectory.euler_frequency_hz[1] makes the phase 2*pi*f*t + phase non-finite "
+                                   "at t = 0.0"),
     "synth-position-overflow": ("synth", _edited(json.loads(_edited(_SCENE, ["trajectory", "position_base"], [1.7e308, 0, 0])),
                                                  ["trajectory", "position_amplitude"], [1.7e308, 0, 0]), 2,
                                 "trajectory.position_base[0] + position_amplitude[0] makes the position non-finite"),
@@ -436,6 +467,7 @@ _READERS = {"events.txt": ("convert", "train", "eval"), "groundtruth.txt": ("con
             "train.json": ("train", "eval"), "model.ckpt": ("eval",)}
 
 
+@pytest.mark.filterwarnings(r"ignore:\d+ event\(s\) with non-monotone timestamps:UserWarning")  # mutations may reorder
 @settings(max_examples=200, deadline=None, database=None)
 @given(data=st.data())
 def test_mutated_files_through_main_exit_with_a_code(toy_files, data):

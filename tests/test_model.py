@@ -367,6 +367,21 @@ class TestPredict:
         with pytest.raises(DegenerateOutputError):
             m.unit_quaternion(np.zeros(4))
 
+    def test_tiny_quaternion_is_unit_or_degenerate(self):
+        # squares below the normal range leave a norm too coarse to scale by
+        rng = np.random.default_rng(8)
+        for q in [np.array([1.0, 0.3, 0.2, 0.9]), *rng.standard_normal((20, 4))]:
+            for exponent in range(150, 163):
+                try:
+                    unit = m.unit_quaternion(q * 10.0**-exponent)
+                except DegenerateOutputError:
+                    continue
+                assert abs(m.vector_norm(unit) - 1.0) <= 1e-6
+        small = np.array([1e-150, 3e-151, 2e-151, 9e-151])
+        assert np.array_equal(m.unit_quaternion(small), small / m.vector_norm(small))
+        with pytest.raises(DegenerateOutputError, match="too small"):  # 7.7e-5 off unit length before
+            m.unit_quaternion(np.array([1e-160, 3e-161, 2e-161, 9e-161]))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_position_is_degenerate(self, bad):
         params = m.init_params(m.toy_config(), seed=4)

@@ -166,6 +166,47 @@ class TestGenerateDataset:
             with pytest.raises(DataError, match=f"trajectory.{field} must be finite"):
                 synth.Trajectory(**{field: (0.0, bad, 0.0)})
 
+    @pytest.mark.parametrize(
+        "fields, t, message",
+        [
+            ({"position_frequency_hz": (0.0, 1e308, 0.0)}, 0.5, "position_frequency_hz[1] makes the phase"),
+            ({"euler_frequency_hz": (0.0, 0.0, 1e308)}, 0.0, "euler_frequency_hz[2] makes the phase"),  # inf * 0 = nan
+            ({"euler_frequency_hz": (1e307, 0.0, 0.0), "euler_phase": (1.7e308, 0.0, 0.0)}, 0.25,
+             "euler_frequency_hz[0] makes the phase"),
+            ({"position_base": (0.0, 0.0, 1.7e308), "position_amplitude": (0.0, 0.0, 1.7e308),
+              "position_phase": (0.0, 0.0, 1.0)}, 0.0, "position_base[2] + position_amplitude[2] makes the position"),
+        ],
+        ids=["position-phase", "euler-phase-nan-at-0", "euler-phase-inf", "position"],
+    )
+    def test_pose_at_rejects_a_non_finite_phase_or_position(self, fields, t, message):
+        with pytest.raises(DataError) as exc:
+            synth.pose_at(synth.Trajectory(**fields), t)
+        assert str(exc.value).startswith(f"trajectory.{message}")
+        assert str(exc.value).endswith(f"non-finite at t = {t!r}")
+
+    @pytest.mark.parametrize(
+        "euler_frequency_hz, message",
+        [
+            ((1e307, 0.0, 0.0), "trajectory.position_base[0] + position_amplitude[0] makes the position non-finite "
+                                "at t = 0.0"),  # the Euler phase overflows only from t = 0.16
+            ((1e308, 0.0, 0.0), "trajectory.euler_frequency_hz[0] makes the phase 2*pi*f*t + phase non-finite "
+                                "at t = 0.0"),  # both at t = 0: the phase comes first
+        ],
+        ids=["earlier-position", "phase-at-the-same-time"],
+    )
+    def test_earliest_trajectory_fault_is_reported(self, euler_frequency_hz, message):
+        trajectory = synth.Trajectory(
+            position_base=(1.7e308, 0.0, 0.0),
+            position_amplitude=(1.7e308, 0.0, 0.0),
+            position_phase=(1.0, 0.0, 0.0),
+            euler_frequency_hz=euler_frequency_hz,
+            euler_phase=(1.7e308, 0.0, 0.0),
+        )
+        cfg = single_segment_scene([((0, 0, 1), (1, 0, 1))], duration=0.2, trajectory=trajectory)
+        with pytest.raises(DataError) as exc:
+            synth.generate_dataset(cfg)
+        assert str(exc.value) == message
+
     def test_sample_count_is_bounded_before_rendering(self, monkeypatch):
         cfg = synth.default_scene(duration=0.1)  # 20 samples of 64x64
         monkeypatch.setattr(synth, "_MAX_MASK_PIXELS", 20 * 64 * 64)
