@@ -450,16 +450,16 @@ def l2norm(x: Tensor) -> Tensor:
     return _node(np.asarray(n), (x,), vjp)
 
 
-def dropout(x: Tensor, rate: float, training: bool, seed: int | None = None) -> Tensor:
+def dropout(x: Tensor, rate: float, seed: int) -> Tensor:
     """Inverted dropout: zero elements with probability ``rate`` and scale
-    survivors by 1/(1-rate) in training mode; identity at inference.
+    survivors by 1/(1-rate). At rate 0 it returns ``x`` itself.
 
     The mask is a pure function of (shape, rate, seed).
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if not training or rate == 0.0:
-        return _node(x.data, (x,), lambda g: (g,))
+    if rate == 0.0:
+        return x
     mask = (np.random.default_rng(seed).random(x.data.shape) >= rate) / (1.0 - rate)
     return _node(x.data * mask, (x,), lambda g: (g * mask,))
 

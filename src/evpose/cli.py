@@ -8,7 +8,7 @@ held-out side of its split, so they see no window the model trained on.
 
 Exit codes: 0 success, 1 usage error (an out-of-range argument too),
 2 data error or a request too large for memory (``MemoryError``),
-3 numeric failure. Errors are reported on one line.
+3 numeric failure. Errors and warnings are reported on one line each.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import argparse
 import csv
 import os
 import sys
+import warnings
 
 from . import evaluation, pipeline, synth
 from .config import from_json
@@ -142,15 +143,22 @@ def _held_out(args):
     return ckpt, test_windows
 
 
+def _write_json_and_csv(out, result):
+    """Write ``result`` to ``<stem>.json`` and ``<stem>.csv``, the stem being
+    ``out`` minus its extension; returns the two paths."""
+    stem = os.path.splitext(out)[0]
+    json_path, csv_path = stem + ".json", stem + ".csv"
+    with open(json_path, "w", encoding="utf-8") as f:
+        f.write(result.to_json() + "\n")
+    with open(csv_path, "w", encoding="utf-8") as f:
+        f.write(result.to_csv())
+    return json_path, csv_path
+
+
 def _cmd_eval(args) -> int:
     ckpt, test_windows = _held_out(args)
     report = evaluation.evaluate(ckpt.params, test_windows)
-    json_path = args.out if args.out.endswith(".json") else args.out + ".json"
-    csv_path = os.path.splitext(json_path)[0] + ".csv"
-    with open(json_path, "w", encoding="utf-8") as f:
-        f.write(report.to_json() + "\n")
-    with open(csv_path, "w", encoding="utf-8") as f:
-        f.write(report.to_csv())
+    json_path, csv_path = _write_json_and_csv(args.out, report)
     print(
         f"median position {report.position.median:.4f} m, "
         f"median orientation {report.orientation.median:.4f} deg over "
@@ -162,12 +170,8 @@ def _cmd_eval(args) -> int:
 def _cmd_robustness(args) -> int:
     ckpt, test_windows = _held_out(args)
     table = evaluation.robustness_experiment(ckpt.params, test_windows)
-    with open(args.out, "w", encoding="utf-8") as f:
-        f.write(table.to_csv())
-    json_path = os.path.splitext(args.out)[0] + ".json"
-    with open(json_path, "w", encoding="utf-8") as f:
-        f.write(table.to_json() + "\n")
-    print(f"wrote {len(table.rows)} fraction rows to {args.out} and {json_path}")
+    json_path, csv_path = _write_json_and_csv(args.out, table)
+    print(f"wrote {len(table.rows)} fraction rows to {json_path} and {csv_path}")
     return 0
 
 
@@ -195,18 +199,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="checkpoint output path")
     p.set_defaults(func=_cmd_train)
 
-    for name, fn, summary, out_help in (
-        ("eval", _cmd_eval, "score a checkpoint on the test side of its train config's split",
-         "report path (.json; a .csv sibling is written too)"),
+    for name, fn, summary, noun in (
+        ("eval", _cmd_eval, "score a checkpoint on the test side of its train config's split", "report"),
         ("robustness", _cmd_robustness,
          "score a checkpoint as eval does on the newest tenth, two tenths, ..., all of each test window's events",
-         "table path (.csv; a .json sibling is written too)"),
+         "table"),
     ):
         p = sub.add_parser(name, help=summary)
         p.add_argument("--ckpt", required=True, help="checkpoint path")
         p.add_argument("--data", required=True, help="directory with events.txt and groundtruth.txt")
         p.add_argument("--config", required=True, help="the train config JSON the checkpoint was trained with")
-        p.add_argument("--out", required=True, help=out_help)
+        p.add_argument("--out", required=True,
+                       help=f"write the {noun} to <stem>.json and <stem>.csv, <stem> being OUT minus its extension")
         p.set_defaults(func=fn)
 
     return parser
@@ -214,17 +218,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except (DataError, OSError) as exc:
-        print(f"evpose: data error: {exc}", file=sys.stderr)
-        return 2
-    except MemoryError as exc:
-        print(f"evpose: out of memory: {exc}", file=sys.stderr)
-        return 2
-    except NumericError as exc:
-        print(f"evpose: numeric failure: {exc}", file=sys.stderr)
-        return 3
+    shown = set()
+
+    def show(message, *_):
+        if str(message) not in shown:
+            shown.add(str(message))
+            print(f"evpose: warning: {message}", file=sys.stderr)
+
+    with warnings.catch_warnings():
+        warnings.showwarning = show
+        try:
+            return args.func(args)
+        except (DataError, OSError) as exc:
+            print(f"evpose: data error: {exc}", file=sys.stderr)
+            return 2
+        except MemoryError as exc:
+            print(f"evpose: out of memory: {exc}", file=sys.stderr)
+            return 2
+        except NumericError as exc:
+            print(f"evpose: numeric failure: {exc}", file=sys.stderr)
+            return 3
 
 
 if __name__ == "__main__":

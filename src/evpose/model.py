@@ -170,13 +170,8 @@ def init_params(config: ModelConfig, seed: int = 0) -> ModelParams:
     return ModelParams(config, tensors)
 
 
-def cnn_forward(
-    image: EventImage,
-    params: ModelParams,
-    training: bool = False,
-    rng_seed: int | None = None,
-) -> Tensor:
-    """Conv/pool/relu blocks, flatten, FC to width F, dropout (training only).
+def cnn_forward(image: EventImage, params: ModelParams, dropout_seed: int | None = None) -> Tensor:
+    """Conv/pool/relu blocks, flatten, FC to width F, dropout if given a seed.
 
     Pooling before ReLU gives the relu-then-pool bytes, parameter gradients
     included: ReLU is monotone, and a window with no positive value gives
@@ -202,7 +197,7 @@ def cnn_forward(
         t = ad.relu(t)
     t = ad.reshape(t, (1, t.data.size))
     t = ad.add(ad.matmul(t, params.tensors["feat.w"]), params.tensors["feat.b"])
-    return ad.dropout(t, cfg.dropout_rate, training=training, seed=rng_seed)
+    return t if dropout_seed is None else ad.dropout(t, cfg.dropout_rate, dropout_seed)
 
 
 def reshape_features(v: Tensor) -> Tensor:
@@ -237,14 +232,9 @@ def pose_head(h: Tensor, params: ModelParams) -> Tensor:
     return ad.add(ad.matmul(t, params.tensors["head.out.w"]), params.tensors["head.out.b"])
 
 
-def forward(
-    image: EventImage,
-    params: ModelParams,
-    training: bool = False,
-    rng_seed: int | None = None,
-) -> Tensor:
+def forward(image: EventImage, params: ModelParams, dropout_seed: int | None = None) -> Tensor:
     """Full network: CNN features -> reshape -> stacked LSTM -> head."""
-    features = cnn_forward(image, params, training=training, rng_seed=rng_seed)
+    features = cnn_forward(image, params, dropout_seed)
     seq = reshape_features(features)
     t = params.tensors
     layers = [
@@ -302,7 +292,7 @@ def predict(image: EventImage, params: ModelParams) -> PosePrediction:
     non-finite or too small quaternion.
     """
     with ad.no_grad():
-        out = forward(image, params, training=False)
+        out = forward(image, params)
     vec = out.data[0]
     if not np.isfinite(vec[:3]).all():
         raise DegenerateOutputError("network produced a non-finite position")

@@ -81,7 +81,7 @@ def train(config: TrainConfig, windows: Sequence[EventWindow]) -> Checkpoint:
 
     Per epoch the windows are shuffled and cut into consecutive slices of
     ``batch_size`` (the last one may be shorter). Each window of a slice
-    runs the forward pass in training mode (dropout active), the
+    runs the forward pass with its own dropout seed, the
     position+quaternion loss and backprop; then one momentum-SGD step
     applies the slice's mean gradient.
     """
@@ -104,13 +104,14 @@ def train(config: TrainConfig, windows: Sequence[EventWindow]) -> Checkpoint:
             grads = []
             for idx in order[start : start + config.batch_size]:
                 drop_seed = int(rng.integers(0, 2**63))
-                out = _model.forward(images[idx], params, training=True, rng_seed=drop_seed)
-                loss = _model.pose_loss(out, labels[idx])
-                value = float(loss.data)
-                if not math.isfinite(value):
-                    raise NumericError(
-                        f"non-finite loss at epoch {epoch + 1}, window index {idx}"
-                    )
+                out = _model.forward(images[idx], params, drop_seed)
+                try:
+                    loss = _model.pose_loss(out, labels[idx])
+                    value = float(loss.data)
+                    if not math.isfinite(value):
+                        raise NumericError("non-finite loss")
+                except NumericError as exc:
+                    raise NumericError(f"{exc} at epoch {epoch + 1}, window index {idx}") from None
                 total += value
                 grads.append(ad.backward(loss, params=tensors))
             ad.sgd_step(tensors, _mean_gradient(grads), opt)

@@ -428,7 +428,7 @@ def lstm_backward_allocating(x, w_x, w_h, hs, cs, acts, g):
     return dz @ w_x.T, x.T @ dz, hs[:-1].T @ dz[1:], dz.sum(axis=0, keepdims=True)
 
 
-def cnn_forward_relu_then_pool(image, params, training=False, rng_seed=None):
+def cnn_forward_relu_then_pool(image, params, dropout_seed=None):
     """The earlier ``model.cnn_forward``, which applies ReLU before max
     pooling, kept as a byte-equality reference for the pool-then-ReLU order."""
     cfg = params.config
@@ -440,7 +440,7 @@ def cnn_forward_relu_then_pool(image, params, training=False, rng_seed=None):
             t = ad.maxpool2d(t, pool)
     t = ad.reshape(t, (1, t.data.size))
     t = ad.add(ad.matmul(t, params.tensors["feat.w"]), params.tensors["feat.b"])
-    return ad.dropout(t, cfg.dropout_rate, training=training, seed=rng_seed)
+    return t if dropout_seed is None else ad.dropout(t, cfg.dropout_rate, dropout_seed)
 
 
 def train_accumulating(config, windows):
@@ -472,7 +472,7 @@ def train_accumulating(config, windows):
         total = 0.0
         for idx in order.tolist():
             drop_seed = int(rng.integers(0, 2**63))
-            out = m.forward(images[idx], params, training=True, rng_seed=drop_seed)
+            out = m.forward(images[idx], params, drop_seed)
             loss = m.pose_loss(out, windows[idx].label)
             total += float(loss.data)
             grads = ad.backward(loss, params=tensors)

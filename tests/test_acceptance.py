@@ -76,7 +76,7 @@ def test_criterion_1_gradient_correctness():
     label = Poses(0.0, np.array([0.1, -0.2, 0.3]), np.array([0.0, 0.0, 0.0, 1.0]))
 
     def f(_params):
-        out = model.forward(image, params, training=True, rng_seed=99)
+        out = model.forward(image, params, dropout_seed=99)
         return model.pose_loss(out, label)
 
     tensors = params.ordered()

@@ -67,30 +67,30 @@ class TestForwardValues:
         assert np.all(ad.sigmoid(zero).data == 0.5)
         assert np.all(ad.tanh(zero).data == 0.0)
 
-    def test_dropout_inference_identity(self):
-        x = ad.tensor(np.arange(12.0).reshape(3, 4))
-        assert np.array_equal(ad.dropout(x, 0.5, training=False).data, x.data)
-
     def test_dropout_training_zeroes_and_scales(self):
         x = ad.tensor(np.ones(1000))
-        y = ad.dropout(x, 0.25, training=True, seed=0).data
+        y = ad.dropout(x, 0.25, seed=0).data
         assert set(np.unique(y)) == {0.0, 1.0 / 0.75}
         # drop probability close to the rate
         assert abs(np.mean(y == 0.0) - 0.25) < 0.05
 
     def test_dropout_mask_reproducible(self):
         x = ad.tensor(np.ones((7, 5)))
-        a = ad.dropout(x, 0.5, training=True, seed=123).data
-        b = ad.dropout(x, 0.5, training=True, seed=123).data
-        c = ad.dropout(x, 0.5, training=True, seed=124).data
+        a = ad.dropout(x, 0.5, seed=123).data
+        b = ad.dropout(x, 0.5, seed=123).data
+        c = ad.dropout(x, 0.5, seed=124).data
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    def test_dropout_rate_zero_returns_input(self):
+        x = ad.tensor(np.arange(12.0).reshape(3, 4))
+        assert ad.dropout(x, 0.0, seed=5) is x
 
     def test_dropout_bad_rate(self):
         x = ad.tensor(np.ones(3))
         for rate in (-0.1, 1.0, 1.5):
             with pytest.raises(ValueError):
-                ad.dropout(x, rate, training=True, seed=0)
+                ad.dropout(x, rate, seed=0)
 
     def test_shape_errors_name_kind_and_shapes(self):
         a = ad.tensor(np.ones((2, 3)))
@@ -394,7 +394,7 @@ class TestBackward:
             f = lambda ps: ad.l2norm(ps[0])
         elif name == "dropout":
             p = [randt(3, 5)]
-            f = lambda ps: ad.sum_all(ad.dropout(ps[0], 0.4, training=True, seed=7))
+            f = lambda ps: ad.sum_all(ad.dropout(ps[0], 0.4, seed=7))
         elif name == "maxpool":
             p = [randt(2, 4, 4)]
             f = lambda ps: ad.l2norm(ad.maxpool2d(ps[0], 2))

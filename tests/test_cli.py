@@ -20,6 +20,7 @@ from evpose import autodiff as ad
 from evpose import config, evaluation, pipeline, synth
 from evpose import model as m
 from evpose.cli import build_parser, main
+from evpose.errors import NumericError
 from evpose.events import parse_events, parse_poses, split_random, window_events
 
 
@@ -155,6 +156,16 @@ class TestSynthAndConvert:
         )
         assert code == 2
 
+    @pytest.mark.filterwarnings("default::UserWarning")
+    def test_convert_reports_a_warning_on_one_line(self, tmp_path, capsys):
+        events, poses = tmp_path / "events.txt", tmp_path / "poses.txt"
+        events.write_text("0.010 1 1 1\n0.030 2 2 0\n0.020 3 3 1\n")
+        poses.write_text("0.0 0 0 0 0 0 0 1\n0.05 0 0 0 0 0 0 1\n")
+        code = main(["convert", "--events", str(events), "--poses", str(poses), "--out", str(tmp_path / "img"),
+                     "--width", "8", "--height", "8"])
+        assert code == 0
+        assert capsys.readouterr().err == "evpose: warning: 1 event(s) with non-monotone timestamps\n"
+
 
 @pytest.fixture(scope="module")
 def train_config(tmp_path_factory):
@@ -209,6 +220,18 @@ class TestTrainEvalRobustness:
         lines = out.read_text().splitlines()
         assert len(lines) == 11  # header + 10 fractions
         assert json.loads((tmp_path / "table.json").read_text())["rows"][-1]["fraction"] == 1.0
+
+    @pytest.mark.parametrize("out", ["x.json", "x.csv", "x"])
+    @pytest.mark.parametrize("command", ["eval", "robustness"])
+    def test_out_names_the_json_and_csv_by_its_stem(self, command, out, trained, train_config, dataset_dir, tmp_path):
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main([command, "--ckpt", str(trained), "--data", str(dataset_dir), "--config", str(train_config),
+                         "--out", str(tmp_path / out)])
+        assert code == 0
+        assert sorted(os.listdir(tmp_path)) == ["x.csv", "x.json"]
+        assert isinstance(json.loads((tmp_path / "x.json").read_text()), dict)
+        rows = list(csv.reader((tmp_path / "x.csv").read_text().splitlines()))
+        assert len(rows) > 1 and len({len(row) for row in rows}) == 1
 
     def test_eval_and_robustness_score_the_windows_training_held_out(
         self, trained, train_config, dataset_dir, tmp_path
@@ -468,6 +491,7 @@ _READERS = {"events.txt": ("convert", "train", "eval"), "groundtruth.txt": ("con
 
 
 @pytest.mark.filterwarnings(r"ignore:\d+ event\(s\) with non-monotone timestamps:UserWarning")  # mutations may reorder
+@pytest.mark.filterwarnings("default::RuntimeWarning")  # mutated weights may overflow; main prints it on one line
 @settings(max_examples=200, deadline=None, database=None)
 @given(data=st.data())
 def test_mutated_files_through_main_exit_with_a_code(toy_files, data):
@@ -506,3 +530,37 @@ def test_mutated_files_through_main_exit_with_a_code(toy_files, data):
                     code = exc.code
             assert code in (0, 1, 2, 3), (command, code)
             assert "Traceback" not in err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def diverging_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("diverging")
+    scene = dataclasses.replace(synth.default_scene(duration=0.5), sensor_w=8, sensor_h=8, focal=8.75)
+    synth.write_dataset(scene, root)
+    return root
+
+
+# learning rate and the error it gives the toy model, seed 0, on diverging_dir
+_DIVERGING = {
+    "prediction": (1e300, "non-finite prediction in pose_loss at epoch 1, window index 18"),
+    "loss": (1e10, "non-finite loss at epoch 1, window index 17"),
+}
+
+
+@pytest.mark.filterwarnings("default::RuntimeWarning")  # the overflow that makes the run diverge
+@pytest.mark.parametrize("lr, message", _DIVERGING.values(), ids=_DIVERGING.keys())
+def test_diverging_training_names_epoch_and_window(lr, message, diverging_dir, tmp_path, capsys):
+    train_config = pipeline.TrainConfig(model=m.toy_config(), lr=lr, epochs=5, seed=0)
+    windows, _ = window_events(parse_events((diverging_dir / "events.txt").read_text(), 8, 8),
+                               parse_poses((diverging_dir / "groundtruth.txt").read_text()))
+    with pytest.raises(NumericError) as exc, pytest.warns(RuntimeWarning):
+        pipeline.train(train_config, split_random(windows, 0.7, 0)[0])
+    assert str(exc.value) == message
+
+    (tmp_path / "train.json").write_text(config.to_json(train_config))
+    code = main(["train", "--data", str(diverging_dir), "--config", str(tmp_path / "train.json"),
+                 "--out", str(tmp_path / "model.ckpt")])
+    *warned, error = capsys.readouterr().err.splitlines()
+    assert code == 3
+    assert error == f"evpose: numeric failure: {message}"
+    assert warned and all(line.startswith("evpose: warning: ") for line in warned)

@@ -92,8 +92,8 @@ class TestCnnForward:
     def test_inference_deterministic(self):
         cfg = m.toy_config()
         params = m.init_params(cfg, seed=1)
-        a = m.cnn_forward(blank_image(), params, training=False)
-        b = m.cnn_forward(blank_image(), params, training=False)
+        a = m.cnn_forward(blank_image(), params)
+        b = m.cnn_forward(blank_image(), params)
         assert np.array_equal(a.data, b.data)
 
     def test_f16_on_32x32_input(self):
@@ -266,13 +266,18 @@ class TestPoseLoss:
     def test_desk_training_step_graph_is_small(self):
         # one node per LSTM layer: the per-gate graph built 455
         params = m.init_params(m.desk_config(), seed=0)
-        out = m.forward(blank_image(64, 64), params, training=True, rng_seed=0)
+        out = m.forward(blank_image(64, 64), params, dropout_seed=0)
         assert count_graph_nodes(m.pose_loss(out, self.label())) <= 40
+
+    def test_dropout_node_only_when_seeded(self):
+        params = m.init_params(m.toy_config(), seed=0)
+        unseeded = count_graph_nodes(m.forward(blank_image(), params))
+        assert count_graph_nodes(m.forward(blank_image(), params, dropout_seed=0)) == unseeded + 1
 
     def test_differentiable_through_network(self):
         cfg = m.toy_config()
         params = m.init_params(cfg, seed=3)
-        out = m.forward(blank_image(), params, training=False)
+        out = m.forward(blank_image(), params)
         loss = m.pose_loss(out, self.label())
         grads = ad.backward(loss, params=params.ordered())
         assert all(np.all(np.isfinite(g)) for g in grads.values())
@@ -302,9 +307,9 @@ def conv_blocks_with_zeros_and_ties(weights, rng):
     return params
 
 
-@pytest.mark.parametrize("training", [False, True], ids=["inference", "training"])
+@pytest.mark.parametrize("seeded", [False, True], ids=["inference", "training"])
 @pytest.mark.parametrize("weights", ["integer", "gaussian"])
-def test_pool_then_relu_matches_earlier_relu_then_pool_bytes(weights, training):
+def test_pool_then_relu_matches_earlier_relu_then_pool_bytes(weights, seeded):
     # A window with no positive value sends its gradient, a zero whose sign
     # is that of g, to another element in each order; every parameter
     # gradient must still come out with the same bytes.
@@ -321,7 +326,7 @@ def test_pool_then_relu_matches_earlier_relu_then_pool_bytes(weights, training):
         top = windows.max(axis=3)
         ties += int(((windows == top[..., None]).sum(axis=3) > 1)[top > 0.0].sum())
         g = ad.tensor(rng.standard_normal((1, cfg.feature_dim)))
-        outs = [f(EventImage(pixels), params, training=training, rng_seed=k)
+        outs = [f(EventImage(pixels), params, dropout_seed=k if seeded else None)
                 for f in (m.cnn_forward, cnn_forward_relu_then_pool)]
         assert outs[0].data.tobytes() == outs[1].data.tobytes()
         got, want = (ad.backward(ad.sum_all(ad.mul(out, g)), tensors) for out in outs)
