@@ -15,13 +15,17 @@ in a single-row matmul is the rank-1 product of two vectors, kept as its
 factors. ``np.asarray`` densifies an ``Outer``; ``sgd_step`` applies one
 without densifying it.
 
-``sgd_step`` alone uses scipy (BLAS ``daxpy``) and imports it on its first
-call, so ``import evpose`` and inference never load ``scipy.linalg``.
+``sgd_step`` alone uses scipy: its first call loads BLAS ``daxpy`` from
+scipy's f2py extension module ``_fblas`` alone, so nothing here, training
+included, ever loads the ``scipy.linalg`` package.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
@@ -53,7 +57,8 @@ _OUTER_BLOCK = 32768  # float64 elements of one multiplied-out Outer block
 class Outer:
     """The rank-1 matrix ``u[:, None] * v[None, :]``, kept as ``u`` (n,) and
     ``v`` (m,). ``np.asarray`` returns the product, bit-equal to that
-    broadcast multiply, and so does every block from ``blocks``."""
+    broadcast multiply, and so does every block from ``blocks``; with
+    ``copy=False`` it raises ValueError, as the product is always new."""
 
     __slots__ = ("u", "v", "shape")
 
@@ -63,6 +68,8 @@ class Outer:
         self.shape = (u.shape[0], v.shape[0])
 
     def __array__(self, dtype=None, copy=None) -> Array:
+        if copy is False:
+            raise ValueError("an Outer is multiplied out into a new array; copy=False cannot be honoured")
         return np.multiply.outer(self.u, self.v).astype(dtype, copy=False)
 
     def blocks(self):
@@ -559,6 +566,26 @@ def make_opt_state(
     return OptState(lr, momentum, weight_decay, [np.zeros_like(p.data) for p in params])
 
 
+_daxpy = None  # BLAS daxpy, loaded by the first sgd_step
+
+
+def _load_daxpy():
+    """``daxpy`` from scipy's f2py BLAS module ``scipy/linalg/_fblas``, loaded
+    by file location: ``scipy.linalg.blas.daxpy`` re-exports this compiled
+    function, but importing it runs ``scipy.linalg``'s ``__init__``: over 300
+    modules and about 28 MB of resident memory that training never uses."""
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise ModuleNotFoundError("sgd_step needs scipy's BLAS daxpy; scipy is not installed", name="scipy")
+    linalg = os.path.join(scipy.submodule_search_locations[0], "linalg")
+    spec = importlib.machinery.PathFinder.find_spec("_fblas", [linalg])
+    if spec is None:
+        raise ImportError(f"sgd_step needs scipy's BLAS module _fblas, not found in {linalg}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.daxpy
+
+
 def sgd_step(
     params: Sequence[Tensor], grads: Mapping[Tensor, Array | Outer], state: OptState
 ) -> None:
@@ -574,8 +601,9 @@ def sgd_step(
     same per-element operations, in the same order, as a dense gradient:
     so the product is filled, then scaled, never formed by ``dot``,
     ``einsum`` or ``dger`` (see ``Outer.blocks``). The weight decay and the
-    parameter step stay on scipy's BLAS ``daxpy``, imported by the first
-    call, which rounds ``y + a * x`` as one fused multiply-add. Every
+    parameter step stay on scipy's BLAS ``daxpy``, which rounds ``y + a * x``
+    as one fused multiply-add; the first call loads it from scipy's
+    ``_fblas`` extension module alone, never ``scipy.linalg``. Every
     gradient, parameter and velocity is checked first, so a ShapeError or
     NumericError leaves all of them untouched.
     """
@@ -597,10 +625,9 @@ def sgd_step(
             finite = np.isfinite(g.sum()) or np.isfinite(g).all()
         if not finite:
             raise NumericError("non-finite gradient; optimizer step aborted")
-    # imported here, its only use: loading scipy.linalg costs about 27 MB of
-    # resident memory and 0.3 s, which inference and ingestion never need
-    from scipy.linalg.blas import daxpy as blas_daxpy
-
+    global _daxpy
+    if _daxpy is None:
+        _daxpy = _load_daxpy()
     lr, momentum, weight_decay = state.lr, state.momentum, state.weight_decay
     for p, g, v in zip(params, gs, state.velocity):
         theta, vel = p.data.reshape(-1), v.reshape(-1)  # views, as both are C-contiguous
@@ -617,5 +644,5 @@ def sgd_step(
             w *= momentum
             w += block
             if weight_decay != 0.0:
-                blas_daxpy(t, w, a=weight_decay)
-            blas_daxpy(w, t, a=-lr)
+                _daxpy(t, w, a=weight_decay)
+            _daxpy(w, t, a=-lr)

@@ -60,6 +60,13 @@ def _read_text(path) -> str:
         raise ParseError(f"not UTF-8 text ({exc.reason}) in {path}", line_no) from None
 
 
+def _check_out_dir(out):
+    """Fail before any work when the directory ``--out`` names does not exist."""
+    parent = os.path.dirname(out)
+    if parent and not os.path.isdir(parent):
+        raise DataError(f"--out {out}: no directory {parent}")
+
+
 def _load_windows(events_path, poses_path, sensor_w, sensor_h):
     events = parse_events(_read_text(events_path), sensor_w, sensor_h)
     poses = parse_poses(_read_text(poses_path))
@@ -116,6 +123,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    _check_out_dir(args.out)
     with open(args.config, "rb") as f:
         config = from_json(pipeline.TrainConfig, f.read())
     train_windows, test_windows, skipped = _load_split(args.data, config)
@@ -134,6 +142,7 @@ def _cmd_train(args) -> int:
 
 def _held_out(args):
     """The checkpoint and the test windows of the split its train config made."""
+    _check_out_dir(args.out)
     with open(args.config, "rb") as f:
         config = from_json(pipeline.TrainConfig, f.read())
     ckpt = pipeline.load_checkpoint(args.ckpt)

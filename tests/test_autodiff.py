@@ -551,6 +551,32 @@ class TestSgd:
         assert p.data.tobytes() == (-(u[:, None] * v)).tobytes()
         assert np.isfinite(p.data).all()
 
+    def test_outer_array_refuses_copy_false(self):
+        u, v = np.array([1.5, -0.0]), np.array([3.0])
+        g = ad.Outer(u, v)
+        with pytest.raises(ValueError, match="copy=False"):
+            np.asarray(g, copy=False)
+        product = u[:, None] * v
+        assert np.asarray(g).tobytes() == product.tobytes()
+        as32 = np.array(g, dtype=np.float32)
+        assert as32.dtype == np.float32 and as32.tobytes() == product.astype(np.float32).tobytes()
+
+    @pytest.mark.parametrize("a", [-1e-3, 1e-6, -0.0])
+    def test_loaded_daxpy_matches_scipy_linalg_blas(self, a):
+        # the same compiled routine, so the same bytes: signed zeros,
+        # subnormals, infinities and NaNs included
+        from scipy.linalg.blas import daxpy as public
+
+        rng = np.random.default_rng(19)
+        x, y = rng.standard_normal(200_000), rng.standard_normal(200_000)
+        special = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308, np.inf, -np.inf, np.nan]
+        for arr in (x, y):
+            arr[::7] = rng.choice(special, arr[::7].size)
+        got, want = ad._load_daxpy()(x, y.copy(), a=a), public(x, y.copy(), a=a)
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()
+
 
 def assert_last_gradient_rejected(bad):
     """sgd_step with ``bad`` as the last of three gradients raises

@@ -233,6 +233,19 @@ class TestTrainEvalRobustness:
         rows = list(csv.reader((tmp_path / "x.csv").read_text().splitlines()))
         assert len(rows) > 1 and len({len(row) for row in rows}) == 1
 
+    @pytest.mark.parametrize("command", ["train", "eval", "robustness"])
+    def test_out_in_a_missing_directory_fails_before_any_work(
+        self, command, trained, train_config, dataset_dir, tmp_path, capsys
+    ):
+        out = tmp_path / "nodir" / "sub" / "out.ckpt"
+        argv = [command, "--data", str(dataset_dir), "--config", str(train_config), "--out", str(out)]
+        code = main(argv + (["--ckpt", str(trained)] if command != "train" else []))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"evpose: data error: --out {out}: no directory {out.parent}\n"
+        assert captured.out == ""  # not even train's window count: nothing was loaded
+        assert os.listdir(tmp_path) == []
+
     def test_eval_and_robustness_score_the_windows_training_held_out(
         self, trained, train_config, dataset_dir, tmp_path
     ):

@@ -134,6 +134,18 @@ class TestTrain:
         assert ad.Outer in returned
         assert (tmp_path / "factored").read_bytes() == (tmp_path / "dense").read_bytes()
 
+    @pytest.mark.parametrize("batch_size", [1, 3])
+    def test_loaded_daxpy_trains_as_scipy_linalg_blas_does(self, tmp_path, monkeypatch, batch_size):
+        from scipy.linalg.blas import daxpy as public
+
+        cfg = toy_train_config(batch_size=batch_size)
+        monkeypatch.setattr(ad, "_daxpy", None)  # the first step loads it anew
+        pipeline.save_checkpoint(pipeline.train(cfg, self.windows), tmp_path / "loaded")
+        assert ad._daxpy is not None
+        monkeypatch.setattr(ad, "_daxpy", public)
+        pipeline.save_checkpoint(pipeline.train(cfg, self.windows), tmp_path / "public")
+        assert (tmp_path / "loaded").read_bytes() == (tmp_path / "public").read_bytes()
+
     def test_end_to_end_determinism_checkpoint_bytes(self, tmp_path):
         from evpose import synth
         from evpose.events import parse_events, parse_poses, window_events
@@ -370,16 +382,22 @@ tensors = params.ordered()
 ckpt = pipeline.Checkpoint(params, ad.make_opt_state(tensors, 1e-3, 0.9, 1e-6), 0, [])
 pipeline.save_checkpoint(ckpt, sys.argv[1])
 pipeline.load_checkpoint(sys.argv[1])
-assert "scipy.linalg" not in sys.modules, "loaded before any SGD step"
+before = [t.data.copy() for t in tensors]
 ad.sgd_step(tensors, {t: np.ones(t.shape) for t in tensors}, ckpt.opt_state)
-assert "scipy.linalg" in sys.modules, "not loaded by sgd_step"
+assert all((t.data != b).all() for t, b in zip(tensors, before)), "sgd_step left a parameter as it was"
+trained = pipeline.train(pipeline.TrainConfig(model=cfg, lr=1e-3, epochs=1, seed=1), windows)
+init = m.init_params(cfg, seed=1).tensors
+assert any((t.data != init[name].data).any() for name, t in trained.params.tensors.items()), "training changed nothing"
+pipeline.save_checkpoint(trained, sys.argv[1])
+pipeline.load_checkpoint(sys.argv[1])
+assert "scipy.linalg" not in sys.modules, "scipy.linalg loaded"
 """
 
 
-def test_only_sgd_step_loads_scipy_linalg(tmp_path):
+def test_training_never_loads_scipy_linalg(tmp_path):
     """``scipy.linalg`` costs tens of MB of resident memory: parsing,
-    prediction and checkpoint I/O run without it, and the first SGD step
-    loads it."""
+    prediction, SGD steps, training and checkpoint I/O all run without it,
+    as ``sgd_step`` loads BLAS ``daxpy`` from scipy's ``_fblas`` module alone."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     cmd = [sys.executable, "-c", _IMPORT_FOOTPRINT, str(tmp_path / "toy.ckpt")]
     run = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
