@@ -40,6 +40,8 @@ from .events import (
     format_poses,
     parse_events,
     parse_poses,
+    read_events,
+    read_poses,
     split_novel,
     split_random,
     window_events,

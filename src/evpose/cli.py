@@ -5,10 +5,15 @@ Subcommands: ``convert`` (events -> PGM event images + index CSV),
 ``robustness``. Config files are read by ``config.from_json``. ``eval``
 and ``robustness`` take the ``--config`` that ``train`` read and score the
 held-out side of its split, so they see no window the model trained on.
+The events and groundtruth files are read by ``events.read_events`` and
+``read_poses``, in pieces, so a command holds the parsed arrays but not
+the files' text.
 
 Exit codes: 0 success, 1 usage error (an out-of-range argument too),
-2 data error or a request too large for memory (``MemoryError``),
-3 numeric failure. Errors and warnings are reported on one line each.
+2 data error (an ``--out`` that names a directory or lies in a missing
+one too, found before anything is read) or a request too large for
+memory (``MemoryError``), 3 numeric failure. Errors and warnings are
+reported on one line each.
 """
 
 from __future__ import annotations
@@ -21,9 +26,9 @@ import warnings
 
 from . import evaluation, pipeline, synth
 from .config import from_json
-from .errors import DataError, NumericError, ParseError
+from .errors import DataError, NumericError
 from .event_image import image_from_window, write_pgm
-from .events import parse_events, parse_poses, split_novel, split_random, window_events
+from .events import read_events, read_poses, split_novel, split_random, window_events
 
 
 class _Parser(argparse.ArgumentParser):
@@ -48,29 +53,19 @@ _NEWEST_FRACTION = _ranged(float, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
 _PIXELS = _ranged(int, lambda v: v >= 1, ">= 1")
 
 
-def _read_text(path) -> str:
-    """The UTF-8 text of a data file; a byte that is not UTF-8 is a ParseError."""
-    with open(path, "rb") as f:
-        data = f.read()
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # numbered as the parsers number lines: by str.splitlines
-        line_no = len((data[: exc.start].decode("utf-8") + "x").splitlines())
-        raise ParseError(f"not UTF-8 text ({exc.reason}) in {path}", line_no) from None
-
-
 def _check_out_dir(out):
-    """Fail before any work when the directory ``--out`` names does not exist."""
-    parent = os.path.dirname(out)
+    """Fail before any work when ``--out`` names no file: a directory, a
+    path that ends in a separator or is empty, or a path in a directory
+    that does not exist."""
+    parent, name = os.path.split(out)
+    if not name or os.path.isdir(out):
+        raise DataError(f"--out {out!r}: names a directory, not a file")
     if parent and not os.path.isdir(parent):
         raise DataError(f"--out {out}: no directory {parent}")
 
 
 def _load_windows(events_path, poses_path, sensor_w, sensor_h):
-    events = parse_events(_read_text(events_path), sensor_w, sensor_h)
-    poses = parse_poses(_read_text(poses_path))
-    return window_events(events, poses)
+    return window_events(read_events(events_path, sensor_w, sensor_h), read_poses(poses_path))
 
 
 def _load_split(data_dir, config):

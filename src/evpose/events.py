@@ -11,13 +11,20 @@ Text formats:
 A parsed event stream is one numpy structured array of ``EVENT_DTYPE``
 (13 bytes per event), and a parsed pose stream a ``Poses`` of three
 columns. A window is a slice of the events, a view unless the stream had
-to be sorted by time first, and its label a ``Poses`` of one pose. Both
-formats are read by numpy's C reader when the text is plain ASCII;
-anything that reader refuses, and any value the vectorised checks
-reject, sends the whole text through the per-line parser, which raises
-the error of the first bad line (with its line number) or accepts the
-spellings Python's ``float``/``int`` accept (``1_0``, non-ASCII digits)
-with the same values.
+to be sorted by time first, and its label a ``Poses`` of one pose.
+
+Both formats are read by numpy's C reader when the text is plain ASCII,
+one piece of about ``PIECE_SIZE`` characters at a time, each cut just
+after a line feed, into one array sized by counting the line feeds
+first. So parsing holds the result and about two pieces, never a copy of
+the whole text. ``read_events`` and ``read_poses`` take their pieces
+from a file, which they read twice: once to count its lines, once to
+parse them. Anything that reader refuses in any piece, and any value the
+vectorised checks reject, sends the whole text through the per-line
+parser (for a file, after reading it whole and checking that it is
+UTF-8), which raises the error of the first bad line (with its line
+number) or accepts the spellings Python's ``float``/``int`` accept
+(``1_0``, non-ASCII digits) with the same values.
 
 Quaternions are normalized to unit length and sign-canonicalized (qw >= 0)
 at ingestion so that Euclidean quaternion distances live on a single
@@ -29,6 +36,7 @@ readers give the same bytes.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import math
 import warnings
@@ -52,7 +60,12 @@ and row, polarity -1 or +1. Packed, 13 bytes."""
 _MAX_SENSOR_SIDE = np.iinfo(np.uint16).max  # every coordinate < side fits in "x"/"y"
 # Line breaks of str.splitlines that np.loadtxt reads as field separators
 # inside one row (the non-ASCII ones never reach it).
-_SPLITLINES_ONLY_BREAKS = "\x0b\x0c\x1c\x1d\x1e"
+_SPLITLINES_ONLY_BREAKS = b"\x0b\x0c\x1c\x1d\x1e"
+
+PIECE_SIZE = 1 << 20
+"""About how many characters of a text, or bytes of a file, np.loadtxt
+reads at a time: a piece ends at the last line feed of each block of this
+size."""
 
 
 @dataclass(eq=False)
@@ -120,48 +133,139 @@ def parse_events(text: str, sensor_w: int, sensor_h: int) -> np.ndarray:
     BoundsError for coordinates outside the sensor or a sensor side above
     65535. Non-monotone timestamps are permitted but produce a warning.
     """
+    _check_sensor_side(sensor_w, sensor_h)
+    events = _checked_events(_load_text(text, EVENT_DTYPE, ()), sensor_w, sensor_h)
+    if events is None:
+        events = _parse_event_lines(text, sensor_w, sensor_h)
+    return _warn_non_monotone(events)
+
+
+def read_events(path, sensor_w: int, sensor_h: int) -> np.ndarray:
+    """``parse_events`` of the events file at ``path``, read in pieces: the
+    whole text is held only when the per-line parser must decide. A byte
+    that is not UTF-8 is a ParseError."""
+    _check_sensor_side(sensor_w, sensor_h)
+    with _open_data(path) as f:
+        events = _checked_events(_load_file(f, EVENT_DTYPE, ()), sensor_w, sensor_h)
+        if events is None:
+            events = _parse_event_lines(_file_text(f, path), sensor_w, sensor_h)
+    return _warn_non_monotone(events)
+
+
+def _check_sensor_side(sensor_w: int, sensor_h: int) -> None:
     if max(sensor_w, sensor_h) > _MAX_SENSOR_SIDE:
         raise BoundsError(
             f"sensor {sensor_w}x{sensor_h} exceeds the {_MAX_SENSOR_SIDE}-pixel side limit"
         )
-    events = _read_events(text, sensor_w, sensor_h)
-    if events is None:
-        events = _parse_event_lines(text, sensor_w, sensor_h)
+
+
+def _warn_non_monotone(events: np.ndarray) -> np.ndarray:
     t = events["t"]
     non_monotone = int(np.count_nonzero(t[1:] < t[:-1]))
     if non_monotone:
-        warnings.warn(f"{non_monotone} event(s) with non-monotone timestamps", stacklevel=2)
+        warnings.warn(f"{non_monotone} event(s) with non-monotone timestamps", stacklevel=3)
     return events
 
 
-def _load_text(text: str, dtype, ndmin: int) -> np.ndarray | None:
-    """``text`` read by np.loadtxt, or None when the per-line parser must
-    decide: non-ASCII text, a break np.loadtxt does not see, or a read
-    error or warning."""
-    if not text.isascii() or any(c in text for c in _SPLITLINES_ONLY_BREAKS):
-        return None
+@contextlib.contextmanager
+def _open_data(path):
+    """The data file at ``path`` opened for binary reads; a pipe is read
+    whole, since ``_load_file`` reads a file twice."""
+    with open(path, "rb") as f:
+        yield f if f.seekable() else io.BytesIO(f.read())
+
+
+def _file_text(f, path) -> str:
+    """The UTF-8 text of binary file ``f``; a byte that is not UTF-8 is a
+    ParseError."""
+    f.seek(0)
+    data = f.read()
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # "input contained no data"; int-via-float on numpy < 2
-            # Bytes: a StringIO would hold the text as 4 bytes per character.
-            # A value that does not fit its field (x = 70000, p = 300) is a
-            # read error, so nothing wraps around.
-            return np.loadtxt(
-                io.BytesIO(text.encode("ascii")),
-                dtype=dtype,
-                comments=None,
-                encoding="ascii",
-                ndmin=ndmin,
-            )
-    except (ValueError, Warning):
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # numbered as the parsers number lines: by str.splitlines
+        line_no = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        raise ParseError(f"not UTF-8 text ({exc.reason}) in {path}", line_no) from None
+
+
+def _load_text(text: str, dtype, row_shape: tuple) -> np.ndarray | None:
+    """``_load_pieces`` of ``text``, cut at the last line feed of each
+    ``PIECE_SIZE`` characters."""
+    if not text.isascii():  # O(1) for a str
         return None
+    stops = [text.rfind("\n", 0, end) + 1 for end in range(PIECE_SIZE, len(text), PIECE_SIZE)]
+    return _load_pieces(lambda start, stop: text[start:stop].encode("ascii"), stops + [len(text)],
+                        text.count("\n") + 1, dtype, row_shape)
 
 
-def _read_events(text: str, sensor_w: int, sensor_h: int) -> np.ndarray | None:
-    """The events of ``text`` read by np.loadtxt, or None when the per-line
-    parser must decide, as for ``_load_text`` or a value outside the
-    format's ranges."""
-    events = _load_text(text, EVENT_DTYPE, 1)
+def _load_file(f, dtype, row_shape: tuple) -> np.ndarray | None:
+    """``_load_pieces`` of seekable binary file ``f``, cut at the last line
+    feed of each ``PIECE_SIZE`` bytes."""
+    n_lines, stops, end = _scan_lines(f)
+    f.seek(0)
+    return _load_pieces(lambda start, stop: f.read(stop - start), stops + [end], n_lines, dtype, row_shape)
+
+
+def _scan_lines(f) -> tuple[int, list[int], int]:
+    """A first pass over binary file ``f``: its line feeds plus one, the
+    offset after the last line feed of each ``PIECE_SIZE`` bytes that has
+    one, and its size."""
+    n_lines, stops, end = 1, [], 0
+    for block in iter(lambda: f.read(PIECE_SIZE), b""):
+        n_lines += block.count(b"\n")
+        if (last := block.rfind(b"\n")) >= 0:
+            stops.append(end + last + 1)
+        end += len(block)
+    return n_lines, stops, end
+
+
+def _load_pieces(read, stops, n_lines: int, dtype, row_shape: tuple) -> np.ndarray | None:
+    """The rows of a text of at most ``n_lines`` lines, read piece by piece
+    by np.loadtxt into one array of ``n_lines`` rows of ``row_shape``, cut
+    to the rows filled. ``read(start, stop)`` gives the text's bytes from
+    one of the ascending offsets ``stops`` (or 0) to the next; every stop
+    but the last follows a line feed. None when the per-line parser must
+    decide: a piece that is not ASCII, holds a break np.loadtxt does not
+    see, or that it refuses or warns about."""
+    out = np.empty((n_lines, *row_shape), dtype)
+    # Rows are copied as bytes: a field-wise copy of packed EVENT_DTYPE
+    # rows is about ten times slower.
+    raw = out.view(np.uint8).reshape(n_lines, -1)
+    n = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # "input contained no data"; int-via-float on numpy < 2
+        start = 0
+        for stop in stops:
+            if stop == start:  # no line feed since the last stop
+                continue
+            piece = read(start, stop)
+            start = stop
+            if piece.isspace():  # blank lines only, of which np.loadtxt warns
+                continue
+            if not piece.isascii() or any(c in piece for c in _SPLITLINES_ONLY_BREAKS):
+                return None
+            try:
+                # Bytes: a StringIO would hold the text as 4 bytes per
+                # character. A value that does not fit its field (x = 70000,
+                # p = 300) is a read error, so nothing wraps around.
+                rows = np.loadtxt(io.BytesIO(piece), dtype=dtype, comments=None, encoding="ascii",
+                                  ndmin=1 + len(row_shape))
+            except (ValueError, Warning):
+                return None
+            if rows.shape[1:] != row_shape:
+                return None
+            raw[n : n + len(rows)] = rows.view(np.uint8).reshape(len(rows), -1)
+            n += len(rows)
+            del piece, rows  # freed before the next piece is read
+    del raw
+    out.resize((n, *row_shape), refcheck=False)  # drops the rows of blank lines, in place
+    return out
+
+
+def _checked_events(events: np.ndarray | None, sensor_w: int, sensor_h: int) -> np.ndarray | None:
+    """Events read by np.loadtxt with polarity mapped to rho, or None when
+    the per-line parser must decide: ``events`` is None or holds a value
+    outside the format's ranges."""
     if events is None:
         return None
     t, x, y, p = (events[name] for name in EVENT_DTYPE.names)  # "rho" holds p until the end
@@ -222,19 +326,28 @@ def parse_poses(text: str) -> Poses:
     increasing and InvalidRotationError for zero-norm or non-finite
     quaternions.
     """
-    rows = _read_poses(text)
+    rows = _checked_pose_rows(_load_text(text, np.float64, (8,)))
     if rows is None:
         rows = _parse_pose_lines(text)
     return Poses(rows[:, 0], rows[:, 1:4], rows[:, 4:])
 
 
-def _read_poses(text: str) -> np.ndarray | None:
-    """The (n, 8) pose rows of ``text`` read by np.loadtxt, quaternions
-    canonicalized, or None when the per-line parser must decide, as for
-    ``_load_text``, any value it would reject or a quaternion it would
-    divide by its norm or whose qw is 0."""
-    rows = _load_text(text, np.float64, 2)
-    if rows is None or rows.shape[1] != 8:
+def read_poses(path) -> Poses:
+    """``parse_poses`` of the groundtruth file at ``path``, read in pieces
+    as ``read_events`` reads. A byte that is not UTF-8 is a ParseError."""
+    with _open_data(path) as f:
+        rows = _checked_pose_rows(_load_file(f, np.float64, (8,)))
+        if rows is None:
+            rows = _parse_pose_lines(_file_text(f, path))
+    return Poses(rows[:, 0], rows[:, 1:4], rows[:, 4:])
+
+
+def _checked_pose_rows(rows: np.ndarray | None) -> np.ndarray | None:
+    """(n, 8) pose rows read by np.loadtxt with quaternions canonicalized,
+    or None when the per-line parser must decide: ``rows`` is None or holds
+    a value it would reject or a quaternion it would divide by its norm or
+    whose qw is 0."""
+    if rows is None:
         return None
     t, q = rows[:, 0], rows[:, 4:]
     if not (np.isfinite(rows[:, :4]).all() and (t[1:] > t[:-1]).all()):

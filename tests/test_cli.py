@@ -167,6 +167,26 @@ class TestSynthAndConvert:
         assert capsys.readouterr().err == "evpose: warning: 1 event(s) with non-monotone timestamps\n"
 
 
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz"])
+def test_data_files_named_like_archives_are_read_as_text(suffix, dataset_dir, tmp_path):
+    """np.loadtxt given a path opens these suffixes as archives (and a URL
+    as a download); evpose hands it bytes, never a path."""
+    outputs = {}
+    for name, suffix_used in (("plain", ""), ("renamed", suffix)):
+        paths = []
+        for file_name in ("events.txt", "groundtruth.txt"):
+            path = tmp_path / f"{name}_{file_name}{suffix_used}"
+            path.write_bytes((dataset_dir / file_name).read_bytes())
+            paths.append(str(path))
+        out = tmp_path / name
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["convert", "--events", paths[0], "--poses", paths[1], "--out", str(out),
+                         "--width", "64", "--height", "64"]) == 0
+        outputs[name] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert len(outputs["plain"]) > 1
+    assert outputs["renamed"] == outputs["plain"]
+
+
 @pytest.fixture(scope="module")
 def train_config(tmp_path_factory):
     return tiny_train_config(tmp_path_factory.mktemp("config"))
@@ -245,6 +265,21 @@ class TestTrainEvalRobustness:
         assert captured.err == f"evpose: data error: --out {out}: no directory {out.parent}\n"
         assert captured.out == ""  # not even train's window count: nothing was loaded
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("out", ["outdir", "outdir/", "outdir/sub/", ""])
+    @pytest.mark.parametrize("command", ["train", "eval", "robustness"])
+    def test_out_that_names_a_directory_fails_before_any_work(
+        self, command, out, trained, train_config, dataset_dir, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)  # "" is the working directory
+        (tmp_path / "outdir" / "sub").mkdir(parents=True)
+        argv = [command, "--data", str(dataset_dir), "--config", str(train_config), "--out", out]
+        code = main(argv + (["--ckpt", str(trained)] if command != "train" else []))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"evpose: data error: --out {out!r}: names a directory, not a file\n"
+        assert captured.out == ""
+        assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == ["outdir", "outdir/sub"]
 
     def test_eval_and_robustness_score_the_windows_training_held_out(
         self, trained, train_config, dataset_dir, tmp_path

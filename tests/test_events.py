@@ -1,5 +1,8 @@
 import math
+import os
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evpose import events as events_module
+from evpose import synth
 from evpose.errors import (
     BoundsError,
     DataError,
@@ -22,6 +26,8 @@ from evpose.events import (
     format_poses,
     parse_events,
     parse_poses,
+    read_events,
+    read_poses,
     split_novel,
     split_random,
     window_events,
@@ -31,6 +37,10 @@ from oracles import format_events_lines, parse_events_lines, parse_poses_lines
 
 def events(*rows):
     return np.array(list(rows), dtype=EVENT_DTYPE)
+
+
+def _refuse(*args):
+    raise AssertionError("per-line parser called")
 
 
 def make_poses(ts):
@@ -72,15 +82,17 @@ class TestParseEvents:
     def test_blank_lines_skipped(self):
         assert len(parse_events("\n0.1 1 1 1\n\n", 64, 64)) == 1
 
+    @pytest.mark.parametrize("piece_size", [1, 3, 12, events_module.PIECE_SIZE])
     @pytest.mark.parametrize("end", ["\n", "\r\n"])
-    def test_valid_stream_never_reaches_the_per_line_parser(self, monkeypatch, end):
-        def refuse(*args):
-            raise AssertionError("per-line parser called")
-
-        monkeypatch.setattr(events_module, "_parse_event_lines", refuse)
+    def test_valid_stream_never_reaches_the_per_line_parser(self, monkeypatch, end, piece_size, tmp_path):
+        monkeypatch.setattr(events_module, "_parse_event_lines", _refuse)
+        monkeypatch.setattr(events_module, "PIECE_SIZE", piece_size)
         text = end.join(["0.1 1 2 1", "", "0.2 3 4 0", "0.3 5 5 1"]) + end
-        evs = parse_events(text, 8, 6)
-        assert evs.tobytes() == events((0.1, 1, 2, 1), (0.2, 3, 4, -1), (0.3, 5, 5, 1)).tobytes()
+        path = tmp_path / "events.txt"
+        path.write_bytes(text.encode())
+        want = events((0.1, 1, 2, 1), (0.2, 3, 4, -1), (0.3, 5, 5, 1)).tobytes()
+        assert parse_events(text, 8, 6).tobytes() == want
+        assert read_events(path, 8, 6).tobytes() == want
 
     def test_round_trip(self):
         rng = np.random.default_rng(5)
@@ -163,17 +175,119 @@ def _outcome(parse, text):
     return result, [str(w.message) for w in caught]
 
 
-@settings(max_examples=400, deadline=None, database=None)
-@given(text=_event_texts())
-def test_parse_events_matches_per_line_oracle(text):
-    got = _outcome(lambda s: parse_events(s, _SENSOR_W, _SENSOR_H), text)
-    want = _outcome(lambda s: parse_events_lines(s, _SENSOR_W, _SENSOR_H), text)
+# Piece sizes small enough that piece boundaries fall inside the examples.
+_PIECE_SIZES = st.sampled_from([1, 2, 5, 16, events_module.PIECE_SIZE])
+
+
+@pytest.fixture(scope="module")
+def data_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("pieces") / "data.txt"
+
+
+def _outcomes(parse, read, text, path, piece_size):
+    """The outcome of ``parse(text)`` and that of ``read(path)`` with
+    ``text`` written to ``path`` as UTF-8, both in pieces of
+    ``piece_size``."""
+    path.write_bytes(text.encode("utf-8"))
+    with mock.patch.object(events_module, "PIECE_SIZE", piece_size):
+        return _outcome(parse, text), _outcome(lambda _: read(path), text)
+
+
+def _assert_same_events(got, want):
     if isinstance(want[0], tuple):
         assert got == want
     else:
         assert got[0].dtype == EVENT_DTYPE
         assert got[0].tobytes() == np.array(want[0], EVENT_DTYPE).tobytes()
         assert got[1] == want[1]
+
+
+def _event_outcomes(text, path, piece_size):
+    return _outcomes(lambda s: parse_events(s, _SENSOR_W, _SENSOR_H),
+                     lambda p: read_events(p, _SENSOR_W, _SENSOR_H), text, path, piece_size)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(text=_event_texts(), piece_size=_PIECE_SIZES)
+def test_parse_events_matches_per_line_oracle(text, piece_size, data_file):
+    want = _outcome(lambda s: parse_events_lines(s, _SENSOR_W, _SENSOR_H), text)
+    for got in _event_outcomes(text, data_file, piece_size):
+        _assert_same_events(got, want)
+
+
+def test_non_monotone_pair_across_a_piece_boundary_warns_once(monkeypatch, data_file):
+    monkeypatch.setattr(events_module, "_parse_event_lines", _refuse)  # the columnar reader counts it
+    text = "0.2 1 1 1\n0.1 2 2 0\n0.3 3 3 1\n"  # 10 characters a line
+    want = _outcome(lambda s: parse_events_lines(s, _SENSOR_W, _SENSOR_H), text)
+    assert want[1] == ["1 event(s) with non-monotone timestamps"]
+    for got in _event_outcomes(text, data_file, 10):
+        _assert_same_events(got, want)
+
+
+def test_bad_line_in_a_later_piece_keeps_its_message_and_number(data_file):
+    lines = [f"{i / 100!r} {i % 8} {i % 6} {i % 2}" for i in range(60)]
+    lines[47] = "0.47 1 1"
+    text = "\n".join(lines) + "\n"
+    want = _outcome(lambda s: parse_events_lines(s, _SENSOR_W, _SENSOR_H), text)
+    assert want[0][0] is ParseError and want[0][2] == 48
+    for got in _event_outcomes(text, data_file, 64):
+        assert got == want
+
+
+def test_piece_of_blank_lines_only(monkeypatch, data_file):
+    monkeypatch.setattr(events_module, "_parse_event_lines", _refuse)  # blank pieces stay columnar
+    text = "0.1 1 1 1\n" + "\n" * 20 + "  \n\t\r\n" * 4 + "0.2 2 2 0\n\n"
+    want = _outcome(lambda s: parse_events_lines(s, _SENSOR_W, _SENSOR_H), text)
+    for got in _event_outcomes(text, data_file, 4):
+        _assert_same_events(got, want)
+
+
+def test_read_events_takes_a_pipe():
+    if not os.path.isdir("/dev/fd"):
+        pytest.skip("no /dev/fd")
+    text = "0.1 1 2 1\n0.2 3 4 0\n"
+    r, w = os.pipe()
+    os.write(w, text.encode())
+    os.close(w)
+    try:
+        assert read_events(f"/dev/fd/{r}", 8, 6).tobytes() == parse_events(text, 8, 6).tobytes()
+    finally:
+        os.close(r)
+
+
+@pytest.fixture(scope="module")
+def scene_5s(tmp_path_factory):
+    """The default scene's 5 s texts (113k events, 1000 poses) and their files."""
+    root = tmp_path_factory.mktemp("scene_5s")
+    texts = synth.write_dataset(synth.default_scene(duration=5.0), root)
+    return texts, (root / "events.txt", root / "groundtruth.txt")
+
+
+def _traced_peak(fn):
+    """``fn()`` and the peak of traced memory above where it started."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+_OBJECTS = 16 << 10  # interpreter objects and numpy's reader state
+
+
+@pytest.mark.parametrize("source", ["text", "file"])
+def test_parsing_events_holds_the_array_and_two_pieces(source, scene_5s):
+    """Parsing peaks at the 13 B/event it returns plus two pieces: a text
+    piece is sliced, then encoded. Encoding the whole text peaked at about
+    40 B/event, 1.1 MB above this bound."""
+    (events_text, _), (events_path, _) = scene_5s
+    parse = {"text": lambda: parse_events(events_text, 64, 64), "file": lambda: read_events(events_path, 64, 64)}
+    parsed, peak = _traced_peak(parse[source])
+    assert len(parsed) == events_text.count("\n")
+    assert peak <= EVENT_DTYPE.itemsize * len(parsed) + 2 * events_module.PIECE_SIZE + _OBJECTS
 
 
 @pytest.mark.parametrize("brk", _LINE_BREAKS[3:])
@@ -334,11 +448,7 @@ def _pose_texts(draw):
     return text
 
 
-@settings(max_examples=500, deadline=None, database=None)
-@given(text=_pose_texts())
-def test_parse_poses_matches_per_line_oracle(text):
-    got = _outcome(parse_poses, text)
-    want = _outcome(parse_poses_lines, text)
+def _assert_same_poses(got, want):
     if isinstance(want[0], tuple):
         assert got == want
     else:
@@ -346,14 +456,48 @@ def test_parse_poses_matches_per_line_oracle(text):
         assert got[1] == want[1]
 
 
-@pytest.mark.parametrize("end", ["\n", "\r\n"])
-def test_valid_poses_never_reach_the_per_line_parser(monkeypatch, end):
-    def refuse(*args):
-        raise AssertionError("per-line parser called")
+@settings(max_examples=500, deadline=None, database=None)
+@given(text=_pose_texts(), piece_size=_PIECE_SIZES)
+def test_parse_poses_matches_per_line_oracle(text, piece_size, data_file):
+    want = _outcome(parse_poses_lines, text)
+    for got in _outcomes(parse_poses, read_poses, text, data_file, piece_size):
+        _assert_same_poses(got, want)
 
-    monkeypatch.setattr(events_module, "_parse_pose_lines", refuse)
+
+def test_pose_out_of_order_across_a_piece_boundary_keeps_its_line_number(data_file):
+    lines = [f"{i / 10!r} 0 0 0 0 0 0 1" for i in range(30)]
+    lines[21] = lines[20]
+    text = "\n".join(lines)
+    want = _outcome(parse_poses_lines, text)
+    assert want[0][0] is OrderingError and "line 22" in want[0][1]
+    for got in _outcomes(parse_poses, read_poses, text, data_file, 40):
+        assert got == want
+
+
+@pytest.mark.parametrize("piece_size", [1, 20, events_module.PIECE_SIZE])
+@pytest.mark.parametrize("end", ["\n", "\r\n"])
+def test_valid_poses_never_reach_the_per_line_parser(monkeypatch, end, piece_size, tmp_path):
+    monkeypatch.setattr(events_module, "_parse_pose_lines", _refuse)
+    monkeypatch.setattr(events_module, "PIECE_SIZE", piece_size)
     text = end.join(["0.1 1 2 3 0 0 0 -1", "", "0.2 4 5 6 -0.0 0.6 -0.0 -0.8", "0.3 7 8 9 0.5 0.5 0.5 0.5"]) + end
-    assert _columns(parse_poses(text)).tobytes() == _pose_rows(parse_poses_lines(text)).tobytes()
+    path = tmp_path / "groundtruth.txt"
+    path.write_bytes(text.encode())
+    want = _pose_rows(parse_poses_lines(text)).tobytes()
+    assert _columns(parse_poses(text)).tobytes() == want
+    assert _columns(read_poses(path)).tobytes() == want
+
+
+@pytest.mark.parametrize("source", ["text", "file"])
+def test_parsing_poses_holds_the_rows_and_two_pieces(source, scene_5s, monkeypatch):
+    """As for events, with 64 B a pose. The 150 kB text is cut into 16 kB
+    pieces, as a long recording's is into 1 MB ones; reading it whole
+    peaked at 225 kB, 113 kB above this bound."""
+    (_, poses_text), (_, poses_path) = scene_5s
+    monkeypatch.setattr(events_module, "PIECE_SIZE", 16 << 10)
+    parse = {"text": lambda: parse_poses(poses_text), "file": lambda: read_poses(poses_path)}
+    poses, peak = _traced_peak(parse[source])
+    assert len(poses) == poses_text.count("\n")
+    assert peak <= 64 * len(poses) + 2 * events_module.PIECE_SIZE + _OBJECTS
 
 
 @pytest.mark.parametrize("offset", _NORM_OFFSETS + [-v for v in _NORM_OFFSETS])
