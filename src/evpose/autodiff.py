@@ -594,13 +594,16 @@ def sgd_step(
 
     g' = g + weight_decay * theta;  v = momentum * v + g';  theta -= lr * v
 
-    The update runs over flat views of each parameter and velocity, so both
-    must be C-contiguous. A dense gradient is applied as one block. An
-    ``Outer`` gradient is never densified whole: ``Outer.blocks`` multiplies
-    it out about 256 KB of rows at a time, and each block goes through the
-    same per-element operations, in the same order, as a dense gradient:
-    so the product is filled, then scaled, never formed by ``dot``,
-    ``einsum`` or ``dger`` (see ``Outer.blocks``). The weight decay and the
+    The update runs in place over flat views of each parameter and
+    velocity, so both must be writeable, aligned, C-contiguous float64
+    arrays: given any other, f2py's ``daxpy`` would update a copy and the
+    step would be lost, or write into a read-only array. A dense gradient
+    is applied as one block. An ``Outer`` gradient is never densified
+    whole: ``Outer.blocks`` multiplies it out about 256 KB of rows at a
+    time, and each block goes through the same per-element operations, in
+    the same order, as a dense gradient: so the product is filled, then
+    scaled, never formed by ``dot``, ``einsum`` or ``dger`` (see
+    ``Outer.blocks``). The weight decay and the
     parameter step stay on scipy's BLAS ``daxpy``, which rounds ``y + a * x``
     as one fused multiply-add; the first call loads it from scipy's
     ``_fblas`` extension module alone, never ``scipy.linalg``. Every
@@ -611,10 +614,13 @@ def sgd_step(
     for p, g, v in zip(params, gs, state.velocity):
         if g.shape != p.data.shape:
             raise ShapeError(f"sgd_step: gradient shape {g.shape} vs parameter {p.data.shape}")
-        if v.shape != p.data.shape or not (p.data.flags.c_contiguous and v.flags.c_contiguous):
+        if v.shape != p.data.shape or not all(
+            a.dtype == np.float64 and a.flags.c_contiguous and a.flags.aligned and a.flags.writeable
+            for a in (p.data, v)
+        ):
             raise ShapeError(
-                f"sgd_step: parameter {p.data.shape} and velocity {v.shape} must be "
-                "C-contiguous arrays of one shape"
+                f"sgd_step: parameter {p.data.shape} and velocity {v.shape} must be writeable, "
+                "aligned, C-contiguous float64 arrays of one shape"
             )
         if isinstance(g, Outer):
             # |fl(u_i v_j)| <= fl(max|u| max|v|), and a NaN or an inf * 0 in

@@ -9,7 +9,9 @@ indices in.
 
 Images are float16: it holds 0, 0.5 and 1 exactly, so an image takes 2
 bytes a pixel instead of 8, and the model input, which converts to
-float64, sees the same values.
+float64, sees the same values. Training and evaluation paint each
+window's image at the step that uses it, so they hold one image at a
+time; a caller that keeps many images keeps a quarter of float64's bytes.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from .events import EventWindow
 class EventImage:
     """An (h, w) float16 ``pixels`` grid with values in {0.0, 0.5, 1.0};
     its shape is the image size. Float16 holds the three values exactly at
-    a quarter of float64's bytes, which matters when training holds one
-    image per window."""
+    a quarter of float64's bytes, which matters to a caller that keeps
+    many images; training paints each one at its step and drops it."""
 
     pixels: np.ndarray
 

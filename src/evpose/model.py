@@ -15,6 +15,7 @@ quaternion is normalized only at inference time.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -35,7 +36,9 @@ class ModelConfig:
     block is conv (zero-padded to keep dims at stride 1) -> maxpool -> relu,
     the same function as conv -> relu -> maxpool with ReLU on fewer elements.
     ``feature_dim`` must be a perfect square S*S; the LSTM runs over S steps
-    of width S. Construction checks that sizes are >= 1 and pools tile.
+    of width S. Construction checks that sizes are >= 1, that pools tile
+    and that the parameters fit in arrays: ``param_count()`` float64 values
+    must take at most ``sys.maxsize`` bytes.
     """
 
     input_h: int = 64
@@ -60,7 +63,9 @@ class ModelConfig:
             raise ValueError(f"feature_dim must be a perfect square, got {self.feature_dim}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
-        self.conv_output_shape()
+        count = self.param_count()
+        if count * 8 > sys.maxsize:
+            raise ValueError(f"{count} parameters take more than the {sys.maxsize} bytes an array can hold")
 
     @property
     def seq_len(self) -> int:
@@ -80,9 +85,20 @@ class ModelConfig:
                 h //= pool
                 w //= pool
             c = out_ch
-        if h < 1 or w < 1:
-            raise ValueError("conv stack shrinks the input to nothing")
         return c, h, w
+
+    def param_count(self) -> int:
+        """The number of values ``param_manifest`` lists, computed without
+        building it (so without a loop over LSTM layers)."""
+        cin, count = 1, 0
+        for cout, kernel, _stride, _pool in self.conv_blocks:
+            count += cout * (cin * kernel * kernel + 1)
+            cin = cout
+        c, h, w = self.conv_output_shape()
+        hidden, fc = self.lstm_hidden, self.fc_hidden
+        count += (c * h * w + 1) * self.feature_dim
+        count += 4 * hidden * (self.seq_len + hidden + 1 + (self.lstm_layers - 1) * (2 * hidden + 1))
+        return count + (hidden + 1) * fc + (fc + 1) * 7
 
 
 def toy_config() -> ModelConfig:

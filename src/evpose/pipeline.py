@@ -11,10 +11,20 @@ epoch, loss history; read strictly) followed by the raw little-endian
 float64 parameter arrays in manifest order, then the velocity arrays in
 the same order. The manifest stores each LSTM layer as fused ``w_x``,
 ``w_h`` and ``b`` gate tensors (version 1 stored twelve per-gate tensors
-and is not readable). Each array is written from its own buffer and read
-into its final array, with no whole-array copy in between. Files are
-written to a temporary name and renamed into place, so a failed or
-interrupted save leaves any previous checkpoint untouched.
+and is not readable). The header line is padded with spaces before its
+newline to a multiple of 8 bytes, so every array starts 8-byte aligned.
+Each array is written from its own buffer, with no whole-array copy.
+
+A load reads the parameters into fresh arrays. The velocities, which
+inference never reads, stay in the file: they are views of one
+copy-on-write map of it, read page by page only when a resumed step, a
+save or a comparison touches them, and writeable without changing the
+file. A file saved before headers were padded has its velocities
+unaligned; a load copies those into memory. Since a loaded checkpoint maps
+its file, rewriting that file in place while the checkpoint is alive is
+unsupported. A save never does: files are written to a temporary name and
+renamed into place, so a failed or interrupted save leaves any previous
+checkpoint untouched, and a live checkpoint keeps the file it mapped.
 """
 
 from __future__ import annotations
@@ -81,7 +91,8 @@ def train(config: TrainConfig, windows: Sequence[EventWindow]) -> Checkpoint:
 
     Per epoch the windows are shuffled and cut into consecutive slices of
     ``batch_size`` (the last one may be shorter). Each window of a slice
-    runs the forward pass with its own dropout seed, the
+    is painted into its event image at its step, so no image outlives its
+    step, then runs the forward pass with its own dropout seed, the
     position+quaternion loss and backprop; then one momentum-SGD step
     applies the slice's mean gradient.
     """
@@ -93,9 +104,6 @@ def train(config: TrainConfig, windows: Sequence[EventWindow]) -> Checkpoint:
     opt = ad.make_opt_state(tensors, config.lr, config.momentum, config.weight_decay)
     rng = np.random.default_rng(config.seed)
 
-    images = [image_from_window(w, cfg.input_h, cfg.input_w) for w in windows]
-    labels = [w.label for w in windows]
-
     history: list[float] = []
     for epoch in range(config.epochs):
         order = rng.permutation(len(windows)).tolist()
@@ -104,9 +112,10 @@ def train(config: TrainConfig, windows: Sequence[EventWindow]) -> Checkpoint:
             grads = []
             for idx in order[start : start + config.batch_size]:
                 drop_seed = int(rng.integers(0, 2**63))
-                out = _model.forward(images[idx], params, drop_seed)
+                window = windows[idx]
+                out = _model.forward(image_from_window(window, cfg.input_h, cfg.input_w), params, drop_seed)
                 try:
-                    loss = _model.pose_loss(out, labels[idx])
+                    loss = _model.pose_loss(out, window.label)
                     value = float(loss.data)
                     if not math.isfinite(value):
                         raise NumericError("non-finite loss")
@@ -184,7 +193,8 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as f:
-            f.write(json.dumps(asdict(header)).encode("utf-8") + b"\n")
+            line = json.dumps(asdict(header)).encode("utf-8")
+            f.write(line + b" " * (-(len(line) + 1) % 8) + b"\n")  # arrays start 8-byte aligned
             for arr in arrays + list(opt.velocity):
                 f.write(memoryview(np.ascontiguousarray(arr, dtype="<f8")))  # from its buffer, no copy
         os.replace(tmp, path)
@@ -211,7 +221,9 @@ def _parse_header(header) -> _Header:
 def load_checkpoint(path) -> Checkpoint:
     """Load a checkpoint; reloaded parameters reproduce predictions bit-exactly.
 
-    Raises CheckpointError for a truncated, malformed or version-mismatched
+    Parameters are read into fresh arrays; velocities are copy-on-write
+    views of a map of the file (see the module docstring). Raises
+    CheckpointError for a truncated, malformed or version-mismatched
     file.
     """
     with open(path, "rb") as f:
@@ -224,9 +236,10 @@ def load_checkpoint(path) -> Checkpoint:
             raise CheckpointError(f"unreadable checkpoint header: {exc}") from None
         parsed = _parse_header(header)
         manifest = param_manifest(parsed.model)
+        count = parsed.model.param_count()
         # parameters, then velocities: checked before reading, so a header
         # cannot make the reader ask for more memory than the file holds
-        declared = 2 * 8 * sum(math.prod(shape) for _, shape in manifest)
+        declared = 2 * 8 * count
         held = os.fstat(f.fileno()).st_size - f.tell()
         if declared != held:
             raise CheckpointError(
@@ -240,7 +253,16 @@ def load_checkpoint(path) -> Checkpoint:
             return arr
 
         tensors = {name: ad.Tensor(read_array(shape), requires_grad=True) for name, shape in manifest}
-        velocity = [read_array(shape) for _, shape in manifest]
+        try:
+            region = np.memmap(f, "<f8", mode="c", offset=f.tell(), shape=(count,))
+        except ValueError:  # mmap: the file shrank since its size was checked
+            raise CheckpointError("checkpoint file ended inside its arrays") from None
+    velocity, start = [], 0
+    for _, shape in manifest:
+        stop = start + math.prod(shape)
+        # a velocity of an unpadded (older) file is unaligned: copied, as daxpy needs
+        velocity.append(np.require(region[start:stop].reshape(shape), requirements="A"))
+        start = stop
     return Checkpoint(
         params=ModelParams(parsed.model, tensors),
         opt_state=ad.OptState(velocity=velocity, **asdict(parsed.optimizer)),

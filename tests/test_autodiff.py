@@ -496,6 +496,40 @@ class TestSgd:
                 ad.sgd_step([p], {p: g}, state)
             assert np.array_equal(p.data, np.ones((4, 3))) and not v.any()
 
+    def test_gradient_of_another_shape_is_rejected(self):
+        p = ad.parameter(np.ones((4, 3)))
+        state = ad.make_opt_state([p], lr=0.5, momentum=0.0, weight_decay=0.0)
+        with pytest.raises(ShapeError, match=r"gradient shape \(3, 4\) vs parameter \(4, 3\)"):
+            ad.sgd_step([p], {p: np.ones((3, 4))}, state)
+        assert np.array_equal(p.data, np.ones((4, 3))) and not state.velocity[0].any()
+
+    @pytest.mark.parametrize("kind", ["unaligned", "float32", "read-only"])
+    @pytest.mark.parametrize("which", ["parameter", "velocity"])
+    def test_array_daxpy_cannot_update_in_place_is_rejected(self, kind, which):
+        # f2py's daxpy updates a copy of an unaligned or float32 y and
+        # returns it, so the step would be lost; a read-only y it writes anyway
+        def make(fill):
+            if kind == "unaligned":
+                a = np.frombuffer(bytearray(4 * 8 + 1), np.float64, 4, offset=1)
+                a[...] = fill
+                return a
+            if kind == "float32":
+                return np.full(4, fill, np.float32)
+            a = np.full(4, fill)
+            a.flags.writeable = False
+            return a
+
+        p = ad.parameter(np.ones(4))
+        if which == "parameter":
+            p.data = make(1.0)  # Tensor() would convert a float32 array
+        v = make(0.5) if which == "velocity" else np.full(4, 0.5)
+        ok = ad.parameter(np.ones(2))
+        state = ad.OptState(lr=0.5, momentum=0.9, weight_decay=1e-2, velocity=[np.zeros(2), v])
+        with pytest.raises(ShapeError, match="writeable, aligned, C-contiguous float64"):
+            ad.sgd_step([ok, p], {ok: np.ones(2), p: np.ones(4)}, state)
+        assert (p.data == 1.0).all() and (v == 0.5).all()
+        assert (ok.data == 1.0).all() and not state.velocity[0].any()
+
     def test_non_finite_gradient_aborts(self):
         p = ad.parameter(np.ones(3))
         state = ad.make_opt_state([p], lr=0.1, momentum=0.0, weight_decay=0.0)

@@ -426,6 +426,19 @@ _BAD_INPUTS = {
     "train-short-conv-block": ("train", _edited(_TRAIN, ["model", "conv_blocks", 0], [4, 3, 1]), 2,
                                "TrainConfig.model.conv_blocks[0]: expected 4 items"),
     "train-pool-does-not-tile": ("train", _edited(_TRAIN, ["model", "input_h"], 9), 2, "does not tile"),
+    "train-batch-size-0": ("train", _edited(_TRAIN, ["batch_size"], 0), 2, "TrainConfig: batch_size must be >= 1"),
+    "train-dropout-rate-1": ("train", _edited(_TRAIN, ["model", "dropout_rate"], 1.0), 2,
+                             "TrainConfig.model: dropout_rate must be in [0, 1)"),
+    # parameter counts no array can hold: numpy's "Maximum allowed dimension
+    # exceeded" traceback before, and for lstm_layers minutes of looping
+    **{f"train-{name}-2**63": ("train", _edited(_TRAIN, ["model", *path], 2**63), 2,
+                               f"parameters take more than the {sys.maxsize} bytes an array can hold")
+       for name, path in (
+        ("lstm-hidden", ["lstm_hidden"]), ("fc-hidden", ["fc_hidden"]), ("lstm-layers", ["lstm_layers"]),
+        ("conv-channels", ["conv_blocks", 0, 0]))},
+    # the toy model's 8x8 input against the 64x64 dataset: the reader rejects
+    # the events before any window is painted
+    "train-events-outside-the-model-input": ("train", json.dumps(_TRAIN), 2, "outside 8x8 sensor"),
     "train-bad-json": ("train", '{"lr": 0.1,', 2, "TrainConfig: invalid JSON"),
     "train-not-object": ("train", "[]", 2, "TrainConfig: expected an object"),
     # 64x64 so the dataset loads; the 3.64 PiB request then fails at once and allocates nothing

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from evpose import autodiff as ad
 from evpose import config
 from evpose import model as m
-from evpose.errors import DegenerateOutputError, ShapeError
+from evpose.errors import DegenerateOutputError, NumericError, ShapeError
 from evpose.event_image import EventImage, build_image
 from evpose.events import EVENT_DTYPE, Poses
 from oracles import cnn_forward_relu_then_pool, lstm_sequence_scalar, lstm_step_scalar
@@ -59,12 +60,44 @@ class TestModelConfig:
     @pytest.mark.parametrize(
         "bad",
         [dict(lstm_hidden=0), dict(fc_hidden=0), dict(input_h=0), dict(feature_dim=0),
-         dict(conv_blocks=((4, 3, 0, 2),)), dict(conv_blocks=((4, 3, 1),)), dict(input_w=9)],
-        ids=["lstm-hidden", "fc-hidden", "input-h", "feature-dim", "stride", "short-block", "pool-tiling"],
+         dict(conv_blocks=((4, 3, 0, 2),)), dict(conv_blocks=((4, 3, 1),)), dict(input_w=9),
+         dict(dropout_rate=1.0), dict(dropout_rate=-0.1)],
+        ids=["lstm-hidden", "fc-hidden", "input-h", "feature-dim", "stride", "short-block", "pool-tiling",
+             "dropout-1", "dropout-negative"],
     )
     def test_sizes_checked_at_construction(self, bad):
         with pytest.raises(ValueError):
             dataclasses.replace(m.toy_config(), **bad)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [m.toy_config(), m.desk_config(),
+         m.ModelConfig(input_h=16, input_w=12, conv_blocks=((3, 5, 2, 1), (2, 3, 1, 2)), feature_dim=9,
+                       lstm_hidden=5, lstm_layers=1, fc_hidden=6),
+         m.ModelConfig(input_h=9, input_w=9, conv_blocks=((2, 4, 1, 1),), feature_dim=25, lstm_hidden=3,
+                       lstm_layers=4, fc_hidden=1)],
+        ids=["toy", "desk", "strided-one-layer", "even-kernel-four-layers"],
+    )
+    def test_param_count_is_the_manifest_total(self, cfg):
+        assert cfg.param_count() == sum(math.prod(shape) for _, shape in m.param_manifest(cfg))
+
+    @pytest.mark.parametrize(
+        "bad",
+        [dict(lstm_hidden=2**63), dict(fc_hidden=2**63), dict(lstm_layers=2**63), dict(feature_dim=2**62),
+         dict(conv_blocks=((2**63, 3, 1, 2),)), dict(conv_blocks=((4, 2**32 + 1, 1, 2),))],
+        ids=["lstm-hidden", "fc-hidden", "lstm-layers", "feature-dim", "conv-channels", "conv-kernel"],
+    )
+    def test_parameters_no_array_can_hold_rejected(self, bad):
+        with pytest.raises(ValueError, match="parameters take more than"):
+            dataclasses.replace(m.toy_config(), **bad)
+
+    def test_largest_parameter_count_an_array_holds_accepted(self):
+        # each unit of fc_hidden adds lstm_hidden + 1 + 7 = 16 toy head values
+        base = dataclasses.replace(m.toy_config(), fc_hidden=1)
+        fc = 1 + (sys.maxsize // 8 - base.param_count()) // 16
+        assert dataclasses.replace(base, fc_hidden=fc).param_count() * 8 <= sys.maxsize
+        with pytest.raises(ValueError, match="parameters take more than"):
+            dataclasses.replace(base, fc_hidden=fc + 1)
 
     def test_seq_len(self):
         assert m.toy_config().seq_len == 4
@@ -250,6 +283,16 @@ class TestPoseLoss:
     def label(self, p=(0.0, 0.0, 0.0), q=(0.0, 0.0, 0.0, 1.0)):
         return Poses(0.0, np.array(p, dtype=float), np.array(q, dtype=float))
 
+    def test_prediction_of_another_shape_rejected(self):
+        with pytest.raises(ShapeError, match=r"expects a \(1, 7\) prediction, got \(7,\)"):
+            m.pose_loss(ad.tensor(np.zeros(7)), self.label())
+
+    @pytest.mark.parametrize("p, q", [((0.0, np.nan, 0.0), (0.0, 0.0, 0.0, 1.0)),
+                                      ((0.0, 0.0, 0.0), (0.0, np.inf, 0.0, 1.0))], ids=["position", "quaternion"])
+    def test_non_finite_label_rejected(self, p, q):
+        with pytest.raises(NumericError, match="non-finite label"):
+            m.pose_loss(ad.tensor(np.zeros((1, 7))), self.label(p, q))
+
     def test_exact_prediction_zero_loss(self):
         pred = ad.tensor(np.array([[1.0, 2.0, 3.0, 0.0, 0.0, 0.0, 1.0]]))
         loss = m.pose_loss(pred, self.label(p=(1.0, 2.0, 3.0)))
@@ -386,6 +429,13 @@ class TestPredict:
         assert np.array_equal(m.unit_quaternion(small), small / m.vector_norm(small))
         with pytest.raises(DegenerateOutputError, match="too small"):  # 7.7e-5 off unit length before
             m.unit_quaternion(np.array([1e-160, 3e-161, 2e-161, 9e-161]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_quaternion_is_degenerate(self, bad):
+        params = m.init_params(m.toy_config(), seed=4)
+        params.tensors["head.out.b"].data[0, 4] = bad  # the position stays finite
+        with pytest.raises(DegenerateOutputError, match="non-finite quaternion"):
+            m.predict(blank_image(), params)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_position_is_degenerate(self, bad):

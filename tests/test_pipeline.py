@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import pytest
 from evpose import autodiff as ad
 from evpose import config, evaluation, pipeline
 from evpose import model as m
-from evpose.errors import CheckpointError, InsufficientDataError
+from evpose.errors import BoundsError, CheckpointError, InsufficientDataError
 from evpose.event_image import image_from_window
 from evpose.events import EVENT_DTYPE, EventWindow, Poses
 from oracles import train_accumulating
@@ -55,7 +56,7 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             toy_train_config(split_fraction=1.5)
         for bad in (dict(seed=-1), dict(lr=-1e-3), dict(lr=float("nan")), dict(weight_decay=-1e-6),
-                    dict(momentum=1.0), dict(momentum=-0.1)):
+                    dict(momentum=1.0), dict(momentum=-0.1), dict(batch_size=0)):
             with pytest.raises(ValueError):
                 toy_train_config(**bad)
 
@@ -103,6 +104,15 @@ class TestTrain:
         pred = m.predict(img, ckpt.params)
         vec = ad.tensor(np.concatenate([pred.p_hat, pred.q_hat_raw]).reshape(1, 7))
         assert float(m.pose_loss(vec, self.windows[0].label).data) < 1e-2
+
+    def test_window_outside_the_image_raises_at_its_step(self):
+        # each window is painted at its step, so an earlier window trains first
+        windows = make_windows(6, np.random.default_rng(2))
+        bad = windows[4].events.copy()
+        bad["x"][-1] = 8
+        windows[4] = EventWindow(bad, windows[4].label, 4)
+        with pytest.raises(BoundsError, match=r"event at \(8, \d+\) outside 8x8 image"):
+            pipeline.train(toy_train_config(epochs=1), windows)
 
     def test_empty_training_set_rejected(self):
         with pytest.raises(InsufficientDataError):
@@ -309,6 +319,19 @@ class TestCheckpoint:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
+    @pytest.mark.parametrize("cut", [8, 2000], ids=["in-velocities", "in-parameters"])
+    def test_file_that_shrinks_while_loading_rejected(self, tmp_path, monkeypatch, cut):
+        # the size is checked first; a file cut after that check ends inside its arrays
+        path = tmp_path / "model.ckpt"
+        pipeline.save_checkpoint(self.ckpt, path)
+        size = path.stat().st_size
+        with open(path, "r+b") as f:
+            f.truncate(size - cut)
+        fstat = os.fstat
+        monkeypatch.setattr(os, "fstat", lambda fd: os.stat_result((*fstat(fd)[:6], size, *fstat(fd)[7:])))
+        with pytest.raises(CheckpointError, match="ended inside its arrays"):
+            pipeline.load_checkpoint(path)
+
     def test_trailing_data_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"
         pipeline.save_checkpoint(self.ckpt, path)
@@ -319,10 +342,11 @@ class TestCheckpoint:
 
 
 def test_checkpoint_io_holds_each_array_once(tmp_path):
-    """A desk-scale save holds no array-sized buffer, and a load holds
-    nothing beyond the arrays it returns: both stay under an eighth of
-    ``feat.w`` (8.4 MB). A load through a read buffer peaks about one
-    ``feat.w`` above what it keeps."""
+    """A desk-scale save holds no array-sized buffer, and a load keeps the
+    parameters alone: its velocities are views of a map of the file. Both
+    stay within an eighth of ``feat.w`` (8.4 MB) of that. A load through a
+    read buffer peaks about one ``feat.w`` above what it keeps; one that
+    read the velocities too kept twice the parameters."""
     rng = np.random.default_rng(17)
     params = m.init_params(m.desk_config(), seed=17)
     tensors = params.ordered()
@@ -345,6 +369,7 @@ def test_checkpoint_io_holds_each_array_once(tmp_path):
         tracemalloc.stop()
     assert save_peak < limit
     assert peak - kept < limit
+    assert kept - start <= sum(t.data.nbytes for t in tensors) + limit
 
     arrays = [t.data for t in loaded.params.ordered()] + loaded.opt_state.velocity
     for i, a in enumerate(arrays):
@@ -358,6 +383,106 @@ def test_checkpoint_io_holds_each_array_once(tmp_path):
         ad.sgd_step(ts, dict(zip(ts, grads)), c.opt_state)
     for a, b in zip([t.data for t in tensors] + opt.velocity, arrays):
         assert a.tobytes() == b.tobytes()
+
+
+def _step_both(ckpts, grads):
+    """One sgd_step on each checkpoint with the same gradients."""
+    for c in ckpts:
+        ts = c.params.ordered()
+        ad.sgd_step(ts, dict(zip(ts, grads)), c.opt_state)
+
+
+def _assert_same_state(a, b):
+    arrays = ([t.data for t in c.params.ordered()] + list(c.opt_state.velocity) for c in (a, b))
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(*arrays))
+
+
+def _stepped_toy_checkpoint(loss_history):
+    rng = np.random.default_rng(23)
+    params = m.init_params(m.toy_config(), seed=23)
+    tensors = params.ordered()
+    opt = ad.make_opt_state(tensors, 1e-3, 0.9, 1e-4)
+    ad.sgd_step(tensors, {t: rng.standard_normal(t.shape) for t in tensors}, opt)  # non-zero velocities
+    return pipeline.Checkpoint(params, opt, 1, loss_history)
+
+
+def _histories_of_every_header_residue():
+    """Loss histories whose unpadded header lines, newline included, have
+    each length mod 8 once."""
+    found = {}
+    for n in range(64):
+        ckpt = _stepped_toy_checkpoint([0.5 / (k + 1) for k in range(n)])
+        found.setdefault(len(_unpadded_header(ckpt)) % 8, ckpt.loss_history)
+    assert sorted(found) == list(range(8))
+    return [found[r] for r in range(8)]
+
+
+def _unpadded_header(ckpt):
+    """The header line of ``ckpt`` as a file saved before headers were padded holds it."""
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "c")
+        pipeline.save_checkpoint(ckpt, path)
+        with open(path, "rb") as f:
+            return f.readline().rstrip(b" \n") + b"\n"
+
+
+@pytest.mark.parametrize("residue", range(8))
+def test_saved_arrays_start_aligned_and_velocities_map_the_file(tmp_path, residue):
+    ckpt = _stepped_toy_checkpoint(_histories_of_every_header_residue()[residue])
+    path = tmp_path / "toy.ckpt"
+    pipeline.save_checkpoint(ckpt, path)
+    saved = path.read_bytes()
+    head, rest = saved.split(b"\n", 1)
+    unpadded = _unpadded_header(ckpt)
+    assert len(unpadded) % 8 == residue
+    assert (len(head) + 1) % 8 == 0 and head == unpadded[:-1] + b" " * (len(head) + 1 - len(unpadded))
+    arrays = [t.data for t in ckpt.params.ordered()] + ckpt.opt_state.velocity
+    assert rest == b"".join(a.tobytes() for a in arrays)  # the arrays keep their bytes
+
+    loaded = pipeline.load_checkpoint(path)
+    got = [t.data for t in loaded.params.ordered()] + loaded.opt_state.velocity
+    for i, a in enumerate(got):
+        assert a.flags.writeable and a.flags.aligned and a.flags.c_contiguous and a.dtype == np.float64
+        assert not any(np.shares_memory(a, b) for b in got[i + 1:])
+    assert all(isinstance(v, np.memmap) for v in loaded.opt_state.velocity)
+    _assert_same_state(loaded, ckpt)
+    rng = np.random.default_rng(residue)
+    _step_both((ckpt, loaded), [rng.standard_normal(t.shape) for t in ckpt.params.ordered()])
+    _assert_same_state(loaded, ckpt)
+    assert path.read_bytes() == saved  # the step wrote to memory, not to the file
+
+
+def test_unpadded_file_loads_and_resumes_byte_identically(tmp_path):
+    """A file saved before headers were padded has unaligned velocities
+    unless its header happens to end on a multiple of 8: they are copied."""
+    ckpt = _stepped_toy_checkpoint(_histories_of_every_header_residue()[3])
+    path = tmp_path / "toy.ckpt"
+    pipeline.save_checkpoint(ckpt, path)
+    rest = path.read_bytes().split(b"\n", 1)[1]
+    path.write_bytes(_unpadded_header(ckpt) + rest)
+    loaded = pipeline.load_checkpoint(path)
+    for v in loaded.opt_state.velocity:
+        assert v.flags.aligned and v.flags.writeable and v.flags.owndata
+    _assert_same_state(loaded, ckpt)
+    rng = np.random.default_rng(4)
+    _step_both((ckpt, loaded), [rng.standard_normal(t.shape) for t in ckpt.params.ordered()])
+    _assert_same_state(loaded, ckpt)
+
+
+def test_saving_over_a_loaded_checkpoint_keeps_its_velocities(tmp_path):
+    path = tmp_path / "toy.ckpt"
+    first = _stepped_toy_checkpoint([0.5])
+    pipeline.save_checkpoint(first, path)
+    loaded = pipeline.load_checkpoint(path)
+    second = _stepped_toy_checkpoint([0.25, 0.125])
+    for v in second.opt_state.velocity:
+        v *= -3.0
+    pipeline.save_checkpoint(second, path)  # renamed over the mapped file
+    _assert_same_state(loaded, first)
+    _assert_same_state(pipeline.load_checkpoint(path), second)
+    pipeline.save_checkpoint(loaded, path)  # a checkpoint saved over its own file
+    _assert_same_state(pipeline.load_checkpoint(path), first)
+    _assert_same_state(loaded, first)
 
 
 _IMPORT_FOOTPRINT = """
