@@ -112,7 +112,7 @@ def _cmd_convert(args) -> int:
 def _cmd_synth(args) -> int:
     with open(args.config, "rb") as f:
         config = from_json(synth.SceneConfig, f.read())
-    n_events, n_poses = (text.count("\n") for text in synth.write_dataset(config, args.out))
+    n_events, n_poses = synth.write_dataset(config, args.out)
     print(f"wrote {n_events} events and {n_poses} poses to {args.out}")
     return 0
 

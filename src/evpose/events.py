@@ -428,12 +428,19 @@ def window_events(events: np.ndarray, poses: Poses) -> tuple[list[EventWindow], 
     before the first pose, or after the last, are discarded. Intervals with
     no events produce no window; their count is returned alongside the
     windows. Windows are views of ``events``; a non-monotone stream is
-    first copied once in stable time order (ties keep file order).
+    first copied once in stable time order (ties keep file order). Pose
+    times that are not strictly increasing, or NaN, are an OrderingError
+    naming the first pose out of order.
     """
     if len(poses) < 2:
         raise InsufficientDataError(
             f"need at least 2 groundtruth poses to form windows, got {len(poses)}"
         )
+    late = np.flatnonzero(~(poses.t[1:] > poses.t[:-1]))  # NaN compares false
+    if late.size:
+        i = int(late[0]) + 1
+        before, at = poses.t[i - 1 : i + 1].tolist()
+        raise OrderingError(f"pose {i} at t = {at!r} is not after pose {i - 1} at t = {before!r}")
     t = events["t"]
     if np.any(t[1:] < t[:-1]):
         events = events[np.argsort(t, kind="stable")]

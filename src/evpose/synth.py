@@ -7,18 +7,20 @@ masks emit one event each (+1 where an edge appears, -1 where it
 disappears) with timestamps jittered uniformly inside the interval. The
 output text parses losslessly through the event/pose readers.
 
-All frames are rendered together: every (frame, segment) row is projected,
-cut at the near plane and clipped in array passes of up to
-``_ROWS_PER_PASS`` rows. The distinct rounded lines of a pass are
-rasterized once each, all in lockstep with the integer Bresenham steps,
-and scattered into the frames that hold them. ``render_edge_frame`` is the
-same renderer with one frame. Events are read from one flat scan of the
-frame-to-frame mask difference.
+Frames are rendered in passes of at most ``_ROWS_PER_PASS`` (frame,
+segment) rows and ``_PIXELS_PER_PASS`` mask pixels, each from the last
+frame of the pass before: every row is projected, cut at the near plane and
+clipped as arrays, and each distinct rounded line is rasterized once, in
+lockstep with the others, then scattered into the frames that hold it.
+``render_edge_frame`` is the same renderer with one frame. A pass's events
+come from one flat scan of its mask difference, sorted by (interval, time),
+so the passes concatenate in global order.
 
-A trajectory whose phase or position leaves the float range at a sample
-time is a ``DataError`` naming the field, raised by ``pose_at`` as the
-poses are sampled, before anything is rendered or written. The earliest
-such sample time is reported, and at that time a phase before a position.
+All poses are sampled before anything is rendered or written. Pose arrays
+past ``sys.maxsize`` bytes are a ``DataError``, past memory a ``MemoryError``.
+A phase or position that leaves the float range at a sample time is a
+``DataError`` naming the trajectory field, raised by ``pose_at``: the earliest
+such time is reported, and at that time a phase before a position.
 
 In a ``config.from_json`` scene file every ``SceneConfig`` key is
 required; ``Trajectory`` keys may be omitted and default to zero.
@@ -27,6 +29,9 @@ required; ``Trajectory`` keys may be omitted and default to zero.
 from __future__ import annotations
 
 import math
+import os
+import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +43,8 @@ _Z_NEAR = 1e-3
 # Projected coordinates beyond it are rejected: up to it one ulp is at most
 # 1/256 px, so rounding in the clip cannot move an end by a pixel.
 _MAX_PROJECTED = 2.0**44
-_ROWS_PER_PASS = 1 << 16  # (frame, segment) rows per array pass: bounds the renderer's temporaries
-_MAX_MASK_PIXELS = 1 << 29  # samples * sensor pixels: the masks and their frame-to-frame diff take a byte each
+_ROWS_PER_PASS = 1 << 16  # (frame, segment) rows per pass: bounds the renderer's temporaries
+_PIXELS_PER_PASS = 1 << 22  # frames * sensor pixels per pass: the masks and their frame-to-frame diff take a byte each
 
 
 @dataclass(frozen=True)
@@ -235,72 +240,68 @@ def _clip_rows(
 
 
 def _render_frames(config: SceneConfig, positions: np.ndarray, rotations: np.ndarray) -> np.ndarray:
-    """Binary edge masks (N, h, w) of the wireframe seen from N poses.
-
-    Frames are rendered in blocks of at most ``_ROWS_PER_PASS`` rows, which
-    bounds the memory besides the masks whatever N and the segment count.
-    Each distinct rounded line in a block is rasterized once and drawn into
-    every frame of the block that has it.
-    """
+    """Binary edge masks (N, h, w) of the wireframe seen from N poses, in one array pass;
+    each distinct rounded line is rasterized once and drawn into every frame that has it."""
     w, h = config.sensor_w, config.sensor_h
-    n_seg = len(config.segments)
-    masks = np.zeros(len(positions) * h * w, dtype=bool)
-    step = max(1, _ROWS_PER_PASS // n_seg)
-    for start in range(0, len(positions), step):
-        rows, clipped = _clip_rows(config, positions[start : start + step], rotations[start : start + step])
-        # distinct lines by a lexsort, exact for any integer ends (rounding error can put one off the image)
-        ends = np.rint(clipped).astype(np.int64)
-        order = np.lexsort(ends.T)
-        ends_sorted = ends[order]
-        new_line = np.ones(len(order), dtype=bool)
-        new_line[1:] = (ends_sorted[1:] != ends_sorted[:-1]).any(axis=1)
-        line = np.empty_like(order)
-        line[order] = np.cumsum(new_line) - 1
-        pixels, counts = _rasterize(ends_sorted[new_line], w, h)
-        # each row takes its line's run of pixels, moved to the row's frame
-        sizes = counts[line]
-        runs = np.repeat(np.cumsum(counts)[line] - np.cumsum(sizes), sizes) + np.arange(sizes.sum())
-        masks[pixels[runs] + np.repeat((start + rows // n_seg) * (h * w), sizes)] = True
-    return masks.reshape(-1, h, w)
+    rows, clipped = _clip_rows(config, positions, rotations)
+    # distinct lines by a lexsort, exact for any integer ends (rounding error can put one off the image)
+    ends = np.rint(clipped).astype(np.int64)
+    order = np.lexsort(ends.T)
+    ends_sorted = ends[order]
+    new_line = np.ones(len(order), dtype=bool)
+    new_line[1:] = (ends_sorted[1:] != ends_sorted[:-1]).any(axis=1)
+    line = np.empty_like(order)
+    line[order] = np.cumsum(new_line) - 1
+    pixels, counts = _rasterize(ends_sorted[new_line], w, h)
+    # each row takes its line's run of pixels, moved to the row's frame
+    sizes = counts[line]
+    runs = np.repeat(np.cumsum(counts)[line] - np.cumsum(sizes), sizes) + np.arange(sizes.sum())
+    masks = np.zeros((len(positions), h, w), dtype=bool)
+    masks.reshape(-1)[pixels[runs] + np.repeat(rows // len(config.segments) * (h * w), sizes)] = True
+    return masks
 
 
 def render_edge_frame(config: SceneConfig, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Binary edge mask (h, w) of the wireframe seen from pose (p, q)."""
-    positions = np.asarray(p, dtype=np.float64)[None]
-    return _render_frames(config, positions, quat_to_matrix(q)[None])[0]
+    return _render_frames(config, np.asarray(p, dtype=np.float64)[None], quat_to_matrix(q)[None])[0]
+
+
+def _sample_scene(config: SceneConfig) -> tuple[Poses, Iterator[np.ndarray]]:
+    """The poses at every sample time ``i / rate_hz``, sampled now into arrays sized before the
+    first, and a lazy iterator of each pass's events. A pass renders the last frame of the pass
+    before and the frames after it: at most ``_ROWS_PER_PASS`` rows and ``_PIXELS_PER_PASS``
+    mask pixels, or two frames if more."""
+    n_samples = round(config.rate_hz * config.duration)
+    if n_samples < 2:
+        raise DataError(f"rate_hz * duration must give at least 2 samples, got {n_samples}")
+    if n_samples * 8 * 8 > sys.maxsize:  # t, p and q take 8 float64 per sample
+        raise DataError(f"{n_samples} samples take more than the {sys.maxsize} bytes an array can hold")
+    poses = Poses(np.arange(n_samples) * (1.0 / config.rate_hz), np.empty((n_samples, 3)), np.empty((n_samples, 4)))
+    for i, t in enumerate(poses.t.tolist()):
+        poses.p[i], poses.q[i] = pose_at(config.trajectory, t)
+    frames = max(2, min(_ROWS_PER_PASS // len(config.segments), _PIXELS_PER_PASS // config.sensor_w // config.sensor_h))
+    rng = np.random.default_rng(config.seed)  # drawn pass by pass, as one draw would give
+    return poses, (_pass_events(config, poses, i, i + frames, rng) for i in range(0, n_samples - 1, frames - 1))
+
+
+def _pass_events(config: SceneConfig, poses: Poses, start: int, stop: int, rng: np.random.Generator) -> np.ndarray:
+    """The events between consecutive frames of poses[start:stop]."""
+    w, frame, dt = config.sensor_w, config.sensor_w * config.sensor_h, 1.0 / config.rate_hz
+    masks = _render_frames(config, poses.p[start:stop], np.array([quat_to_matrix(q) for q in poses.q[start:stop]]))
+    # flatnonzero scans frame-major, then row-major; k is the interval (t[start + k], t[start + k + 1]]
+    toggled = np.flatnonzero(masks[1:] != masks[:-1])
+    k, pixel = np.divmod(toggled, frame)
+    events = np.empty(k.size, EVENT_DTYPE)
+    events["t"] = poses.t[start + 1 + k] - rng.random(k.size) * dt  # lies in the interval
+    events["y"], events["x"] = np.divmod(pixel, w)
+    events["rho"] = np.where(masks.reshape(-1)[toggled + frame], 1, -1)
+    return events[np.lexsort((events["t"], k))]  # ties keep scan order
 
 
 def generate_dataset(config: SceneConfig) -> tuple[str, str]:
     """Render the trajectory and return (events text, groundtruth text)."""
-    n_samples = round(config.rate_hz * config.duration)
-    if n_samples < 2:
-        raise DataError(
-            f"rate_hz * duration must give at least 2 samples, got {n_samples}"
-        )
-    if n_samples * config.sensor_w * config.sensor_h > _MAX_MASK_PIXELS:
-        raise DataError(
-            f"{n_samples} samples of {config.sensor_w}x{config.sensor_h} pixels exceed "
-            f"the {_MAX_MASK_PIXELS} mask pixels a dataset may render"
-        )
-    dt = 1.0 / config.rate_hz
-    times = [i * dt for i in range(n_samples)]
-    sample_times = np.asarray(times)
-    sampled = [pose_at(config.trajectory, t) for t in times]
-    positions = np.array([p for p, _ in sampled])
-    quaternions = np.array([q for _, q in sampled])
-    masks = _render_frames(config, positions, np.array([quat_to_matrix(q) for q in quaternions]))
-
-    # flatnonzero scans frame-major, then row-major; k is the interval (times[k], times[k + 1]]
-    frame = config.sensor_h * config.sensor_w
-    toggled = np.flatnonzero(masks[1:] != masks[:-1])
-    k, pixel = np.divmod(toggled, frame)
-    events = np.empty(k.size, EVENT_DTYPE)
-    jitter = np.random.default_rng(config.seed).random(k.size) * dt
-    events["t"] = sample_times[k + 1] - jitter  # lies in the interval
-    events["y"], events["x"] = np.divmod(pixel, config.sensor_w)
-    events["rho"] = np.where(masks.reshape(-1)[toggled + frame], 1, -1)
-    events = events[np.lexsort((events["t"], k))]  # by interval, then time; ties keep scan order
-    return format_events(events), format_poses(Poses(sample_times, positions, quaternions))
+    poses, passes = _sample_scene(config)
+    return "".join(map(format_events, passes)), format_poses(poses)
 
 
 def default_scene(seed: int = 7, rate_hz: float = 200.0, duration: float = 2.0) -> SceneConfig:
@@ -336,13 +337,22 @@ def default_scene(seed: int = 7, rate_hz: float = 200.0, duration: float = 2.0) 
     )
 
 
-def write_dataset(config: SceneConfig, out_dir) -> tuple[str, str]:
-    """Generate and write events.txt / groundtruth.txt; returns the two texts."""
-    import os
-
-    texts = generate_dataset(config)
+def write_dataset(config: SceneConfig, out_dir) -> tuple[int, int]:
+    """Write events.txt pass by pass, then groundtruth.txt; returns (n_events, n_poses).
+    events.txt is replaced only after its last pass, so a failed pass leaves no partial file."""
+    poses, passes = _sample_scene(config)
     os.makedirs(out_dir, exist_ok=True)
-    for name, text in zip(("events.txt", "groundtruth.txt"), texts):
-        with open(os.path.join(out_dir, name), "w", encoding="utf-8") as f:
-            f.write(text)
-    return texts
+    tmp = os.path.join(out_dir, f".events.txt.{os.getpid()}.tmp")
+    n_events = 0
+    try:
+        with open(tmp, "w", encoding="utf-8") as f:
+            for events in passes:
+                f.write(format_events(events))
+                n_events += len(events)
+        os.replace(tmp, os.path.join(out_dir, "events.txt"))
+    finally:
+        if os.path.exists(tmp):  # a pass failed before the rename
+            os.remove(tmp)
+    with open(os.path.join(out_dir, "groundtruth.txt"), "w", encoding="utf-8") as f:
+        f.write(format_poses(poses))
+    return n_events, len(poses)

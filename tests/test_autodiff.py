@@ -40,6 +40,11 @@ def assert_pool_bytes_equal(x, window, reference):
         assert got.tobytes() == want.tobytes()
 
 
+def _t(*shape):
+    """A tensor of ones with the given shape."""
+    return ad.tensor(np.ones(shape))
+
+
 def assert_conv_bytes_equal(x, w, b, stride, padding):
     """conv2d and its vjp give the bytes of the earlier tensordot convolution."""
     out = ad.conv2d(ad.parameter(x), ad.parameter(w), ad.parameter(b), stride, padding)
@@ -99,6 +104,37 @@ class TestForwardValues:
             ad.add(a, b)
         with pytest.raises(ShapeError, match="matmul"):
             ad.matmul(a, a)
+
+    @pytest.mark.parametrize(
+        "op, message",
+        [
+            (lambda: ad.conv2d(_t(2, 5, 5), _t(3, 2, 3), _t(3)), r"conv2d: need input \(C,H,W\), kernel \(O,C,kh,kw\)"),
+            (lambda: ad.conv2d(_t(5, 5), _t(3, 2, 3, 3), _t(3)), r"conv2d: need input .* got \(5, 5\)"),
+            (lambda: ad.conv2d(_t(2, 5, 5), _t(3, 2, 3, 3), _t(3, 1)), r"conv2d: need input .* \(3, 1\)$"),
+            (lambda: ad.conv2d(_t(2, 5, 5), _t(3, 4, 3, 3), _t(3)), r"conv2d: channel mismatch input \(2, 5, 5\)"),
+            (lambda: ad.conv2d(_t(2, 5, 5), _t(3, 2, 3, 3), _t(4)), r"conv2d: channel mismatch"),
+            (lambda: ad.conv2d(_t(2, 5, 5), _t(3, 2, 3, 3), _t(3), stride=0), r"conv2d: bad stride 0 or padding 0"),
+            (lambda: ad.conv2d(_t(2, 5, 5), _t(3, 2, 3, 3), _t(3), padding=-1), r"conv2d: bad stride 1 or padding -1"),
+            (lambda: ad.conv2d(_t(2, 5, 5), _t(3, 2, 6, 3), _t(3)), r"conv2d: kernel \(3, 2, 6, 3\) does not fit input"),
+            (lambda: ad.conv2d(_t(2, 5, 5), _t(3, 2, 3, 8), _t(3), padding=1), r"conv2d: kernel .* does not fit"),
+            (lambda: ad.maxpool2d(_t(4, 4), 2), r"maxpool2d: need \(C,H,W\) input, got \(4, 4\)"),
+            (lambda: ad.maxpool2d(_t(1, 6, 4), 3), r"maxpool2d: window 3 does not tile input \(1, 6, 4\)"),
+            (lambda: ad.maxpool2d(_t(1, 4, 4), 0), r"maxpool2d: window 0 does not tile"),
+            (lambda: ad.reshape(_t(2, 3), (4, 2)), r"reshape: cannot view \(2, 3\) as \(4, 2\)"),
+            (lambda: ad.slice_along(_t(2, 3), 2, 0, 1), r"slice: axis 2 out of range for shape \(2, 3\)"),
+            (lambda: ad.slice_along(_t(2, 3), -1, 0, 1), r"slice: axis -1 out of range"),
+            (lambda: ad.slice_along(_t(2, 3), 1, 2, 2), r"slice: \[2:2\] invalid for shape \(2, 3\) axis 1"),
+            (lambda: ad.slice_along(_t(2, 3), 1, 1, 4), r"slice: \[1:4\] invalid"),
+            (lambda: ad.slice_along(_t(2, 3), 0, -1, 1), r"slice: \[-1:1\] invalid"),
+        ],
+        ids=["conv-kernel-rank", "conv-input-rank", "conv-bias-rank", "conv-kernel-channels", "conv-bias-channels",
+             "conv-stride-0", "conv-padding-negative", "conv-kernel-too-tall", "conv-kernel-too-wide-padded",
+             "pool-rank", "pool-window-does-not-tile", "pool-window-0", "reshape-size", "slice-axis-past-rank",
+             "slice-axis-negative", "slice-empty-range", "slice-stop-past-end", "slice-negative-start"],
+    )
+    def test_op_input_checks(self, op, message):
+        with pytest.raises(ShapeError, match=message):
+            op()
 
     def test_conv2d_matches_loop_oracle_exactly_on_integers(self):
         # integer-valued inputs make float sums exact regardless of order

@@ -106,6 +106,17 @@ class TestSynthAndConvert:
         assert main(["synth", "--config", str(config_path), "--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_synth_render_error_keeps_the_old_events_file(self, tmp_path, capsys):
+        """A pass that fails leaves events.txt as it was, and no temporary file."""
+        out = tmp_path / "ds"
+        synth.write_dataset(synth.default_scene(seed=1, duration=0.1), out)
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        config_path = tmp_path / "scene.json"
+        config_path.write_text(config.to_json(dataclasses.replace(synth.default_scene(duration=0.1), focal=1e17)))
+        assert main(["synth", "--config", str(config_path), "--out", str(out)]) == 2
+        assert "segment 0 does not project" in capsys.readouterr().err
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
     def test_synth_missing_config_is_data_error(self, tmp_path):
         code = main(["synth", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
         assert code == 2
@@ -454,8 +465,13 @@ _BAD_INPUTS = {
     "synth-negative-seed": ("synth", _edited(_SCENE, ["seed"], -1), 2, "seed must be >= 0"),
     "synth-sample-count-overflow": ("synth", _edited(json.loads(_edited(_SCENE, ["rate_hz"], 1e300)), ["duration"], 1e10),
                                     2, "rate_hz * duration must be finite"),
-    "synth-too-many-frames": ("synth", _edited(json.loads(_edited(_SCENE, ["rate_hz"], 1e6)), ["duration"], 10), 2,
-                              "10000000 samples of 64x64 pixels exceed"),
+    "synth-one-sample": ("synth", _edited(_SCENE, ["duration"], 0.005), 2,
+                         "rate_hz * duration must give at least 2 samples, got 1"),
+    # pose arrays of 64 B a sample: past sys.maxsize bytes, then past memory, before a pose is sampled
+    "synth-pose-arrays-past-maxsize": ("synth", _edited(json.loads(_edited(_SCENE, ["rate_hz"], 1e9)), ["duration"], 1e9),
+                                       2, "1000000000000000000 samples take more than the"),
+    "synth-pose-arrays-past-memory": ("synth", _edited(json.loads(_edited(_SCENE, ["rate_hz"], 1e8)), ["duration"], 1e9),
+                                      2, "evpose: out of memory: Unable to allocate"),
     "synth-segment-not-finite": ("synth", _edited(_SCENE, ["segments", 1], [[0.0, 0.0, 1e308], [0.0, 0.0, -1e308]]), 2,
                                  "segment 1 does not project to finite image coordinates"),
     "synth-focal-1e17": ("synth", _edited(_SCENE, ["focal"], 1e17), 2,

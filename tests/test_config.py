@@ -89,6 +89,14 @@ class TestFromDict:
         with pytest.raises(DataError, match="SceneConfig: missing key 'focal'"):
             config.from_dict(synth.SceneConfig, d)
 
+    def test_unsupported_annotation_is_type_error(self):
+        @dataclasses.dataclass(frozen=True)
+        class Weighted:
+            weights: list[float]
+
+        with pytest.raises(TypeError, match=r"Weighted.weights: unsupported annotation list\[float\]"):
+            config.from_dict(Weighted, {"weights": [1.0]})
+
 
 @pytest.fixture(scope="module")
 def valid_dicts(tmp_path_factory):

@@ -204,6 +204,10 @@ class TestRobustness:
         self.windows = make_windows(7, self.rng)
         self.params = m.init_params(m.toy_config(), seed=1)
 
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="robustness_experiment: empty window list"):
+            ev.robustness_experiment(self.params, [])
+
     def test_ten_rows(self):
         table = ev.robustness_experiment(self.params, self.windows)
         assert len(table.rows) == 10

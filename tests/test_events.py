@@ -21,6 +21,7 @@ from evpose.errors import (
 )
 from evpose.events import (
     EVENT_DTYPE,
+    Poses,
     canonicalize_quaternion,
     format_events,
     format_poses,
@@ -259,8 +260,9 @@ def test_read_events_takes_a_pipe():
 def scene_5s(tmp_path_factory):
     """The default scene's 5 s texts (113k events, 1000 poses) and their files."""
     root = tmp_path_factory.mktemp("scene_5s")
-    texts = synth.write_dataset(synth.default_scene(duration=5.0), root)
-    return texts, (root / "events.txt", root / "groundtruth.txt")
+    synth.write_dataset(synth.default_scene(duration=5.0), root)
+    paths = (root / "events.txt", root / "groundtruth.txt")
+    return tuple(path.read_text(encoding="utf-8") for path in paths), paths
 
 
 def _traced_peak(fn):
@@ -368,6 +370,10 @@ class TestParsePoses:
         assert poses.t.tolist() == reparsed.t.tolist()
         assert poses.p.tolist() == reparsed.p.tolist()
         assert poses.q.tolist() == reparsed.q.tolist()
+
+    def test_canonicalize_rejects_a_3_vector(self):
+        with pytest.raises(InvalidRotationError, match=r"quaternion must have 4 components, got shape \(3,\)"):
+            canonicalize_quaternion([0.0, 0.0, 1.0])
 
     def test_canonicalize_idempotent(self):
         rng = np.random.default_rng(17)
@@ -573,6 +579,24 @@ class TestWindowEvents:
         evs = events((0.5, 1, 1, 1), (0.3, 2, 2, 1), (0.5, 3, 3, 1))
         windows, _ = window_events(evs, poses)
         assert windows[0].events["x"].tolist() == [2, 1, 3]
+
+    @pytest.mark.parametrize(
+        "times, message",
+        [
+            ([0.0, 0.35, 0.15], "pose 2 at t = 0.15 is not after pose 1 at t = 0.35"),  # gave a 0-event window
+            ([0.0, 0.2, 0.2], "pose 2 at t = 0.2 is not after pose 1 at t = 0.2"),
+            ([0.0, math.nan, 0.4], "pose 1 at t = nan is not after pose 0 at t = 0.0"),  # gave a window labelled nan
+            ([math.nan, 0.2, 0.4], "pose 1 at t = 0.2 is not after pose 0 at t = nan"),
+        ],
+        ids=["decreasing", "repeated", "nan-inside", "nan-first"],
+    )
+    def test_pose_times_not_strictly_increasing_are_ordering_error(self, times, message):
+        n = len(times)
+        poses = Poses(np.array(times), np.zeros((n, 3)), np.tile([0.0, 0.0, 0.0, 1.0], (n, 1)))
+        evs = events((0.1, 1, 1, 1), (0.3, 2, 2, 1))
+        with pytest.raises(OrderingError) as exc:
+            window_events(evs, poses)
+        assert str(exc.value) == message
 
 
 class TestSplits:

@@ -260,6 +260,10 @@ class TestStackedLstm:
         with pytest.raises(ShapeError):
             m.stacked_lstm_forward(ad.tensor(np.zeros((0, 4))), [zero_layer(4, 4)])
 
+    def test_no_layer_rejected(self):
+        with pytest.raises(ShapeError, match="stacked_lstm_forward: need at least one layer"):
+            m.stacked_lstm_forward(ad.tensor(np.zeros((3, 4))), [])
+
 
 class TestPoseHead:
     def test_zero_weights_yield_bias(self):

@@ -1,5 +1,9 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -207,38 +211,69 @@ class TestGenerateDataset:
             synth.generate_dataset(cfg)
         assert str(exc.value) == message
 
-    def test_sample_count_is_bounded_before_rendering(self, monkeypatch):
-        cfg = synth.default_scene(duration=0.1)  # 20 samples of 64x64
-        monkeypatch.setattr(synth, "_MAX_MASK_PIXELS", 20 * 64 * 64)
-        synth.generate_dataset(cfg)
-        monkeypatch.setattr(synth, "_MAX_MASK_PIXELS", 20 * 64 * 64 - 1)
-        with pytest.raises(DataError, match="20 samples of 64x64 pixels exceed"):
-            synth.generate_dataset(cfg)
-        monkeypatch.undo()
-        with pytest.raises(DataError, match="10000000 samples"):  # fails before building a pose
-            synth.generate_dataset(dataclasses.replace(cfg, rate_hz=1e6, duration=10.0))
+    @pytest.mark.parametrize("duration, n_samples", [(0.002, 0), (0.005, 1)])
+    def test_fewer_than_two_samples_is_data_error(self, duration, n_samples):
+        with pytest.raises(DataError, match=f"rate_hz \\* duration must give at least 2 samples, got {n_samples}$"):
+            synth.generate_dataset(synth.default_scene(duration=duration))
+
+    def test_sample_count_is_checked_before_any_pose(self, monkeypatch):
+        """Pose arrays take 64 B a sample: 2**57 samples pass ``sys.maxsize``
+        bytes, 2**56 do not but pass memory. Neither samples a pose."""
+
+        def refuse(*args):
+            raise AssertionError("a pose was sampled")
+
+        monkeypatch.setattr(synth, "pose_at", refuse)
+        cfg = synth.default_scene()
+        for rate_hz, duration in ((2.0**57, 1.0), (1e9, 1e9)):
+            with pytest.raises(DataError, match=f"^{round(rate_hz * duration)} samples take more than the"):
+                synth.generate_dataset(dataclasses.replace(cfg, rate_hz=rate_hz, duration=duration))
+        with pytest.raises(MemoryError):
+            synth.generate_dataset(dataclasses.replace(cfg, rate_hz=2.0**56, duration=1.0))
+
+    @pytest.mark.parametrize(
+        "cfg, pixels_per_pass",
+        [
+            (synth.default_scene(seed=7), synth._PIXELS_PER_PASS),
+            (synth.default_scene(seed=901, duration=0.5), synth._PIXELS_PER_PASS),
+            (dataclasses.replace(synth.default_scene(seed=5, duration=0.3), sensor_w=8, sensor_h=8, focal=9.0),
+             synth._PIXELS_PER_PASS),
+            (dataclasses.replace(synth.default_scene(seed=2, duration=0.3), sensor_w=97, sensor_h=33, focal=15.0),
+             synth._PIXELS_PER_PASS),
+            (synth.default_scene(seed=7), 37 * 64 * 64),
+        ],
+        ids=["default-2s", "default-0.5s", "8px", "97x33", "default-2s-37-frame-passes"],
+    )
+    def test_events_equal_the_per_interval_loop(self, cfg, pixels_per_pass, monkeypatch):
+        monkeypatch.setattr(synth, "_PIXELS_PER_PASS", pixels_per_pass)
+        (events_text, _), masks, _ = rendered_passes(cfg, monkeypatch)
+        expected = format_events(interval_events(masks, cfg.rate_hz, cfg.seed))
+        assert events_text.splitlines() == expected.splitlines()  # a list diff names the first bad line
 
     @pytest.mark.parametrize(
         "cfg",
         [
-            synth.default_scene(seed=7),
-            synth.default_scene(seed=901, duration=0.5),
-            dataclasses.replace(synth.default_scene(seed=5, duration=0.3), sensor_w=8, sensor_h=8, focal=9.0),
-            dataclasses.replace(synth.default_scene(seed=2, duration=0.3), sensor_w=97, sensor_h=33, focal=15.0),
+            synth.default_scene(seed=4, duration=6.0),  # two passes by default
+            dataclasses.replace(synth.default_scene(seed=2, duration=0.5), sensor_w=97, sensor_h=33, focal=15.0),
+            dataclasses.replace(synth.default_scene(seed=3, duration=0.5), sensor_w=8, sensor_h=8, focal=9.0),
         ],
-        ids=["default-2s", "default-0.5s", "8px", "97x33"],
+        ids=["default-6s", "97x33", "8px"],
     )
-    def test_events_equal_the_per_interval_loop(self, cfg, monkeypatch):
-        rendered = []
-
-        def keep_masks(*args, render=synth._render_frames):
-            rendered.append(render(*args))
-            return rendered[-1]
-
-        monkeypatch.setattr(synth, "_render_frames", keep_masks)
-        events_text, _ = synth.generate_dataset(cfg)
-        expected = format_events(interval_events(rendered[0], cfg.rate_hz, cfg.seed))
-        assert events_text.splitlines() == expected.splitlines()  # a list diff names the first bad line
+    def test_one_frame_passes_give_the_bytes_of_the_default_passes(self, cfg, tmp_path, monkeypatch):
+        """Every pass renders two frames, the last of the pass before and one
+        new one; generate_dataset and write_dataset give the default bytes."""
+        want = synth.generate_dataset(cfg)
+        monkeypatch.setattr(synth, "_ROWS_PER_PASS", 1)
+        monkeypatch.setattr(synth, "_PIXELS_PER_PASS", 1)
+        got, _, n_passes = rendered_passes(cfg, monkeypatch)
+        assert n_passes == round(cfg.rate_hz * cfg.duration) - 1
+        counts = synth.write_dataset(cfg, tmp_path)
+        written = tuple((tmp_path / name).read_text(encoding="utf-8") for name in ("events.txt", "groundtruth.txt"))
+        assert counts == tuple(text.count("\n") for text in want)
+        for got_text, written_text, want_text in zip(got, written, want):  # list diffs name the first bad line
+            assert got_text.splitlines() == want_text.splitlines()
+            assert written_text.splitlines() == want_text.splitlines()
+            assert got_text == written_text == want_text
 
     def test_json_round_trip(self):
         cfg = synth.default_scene()
@@ -262,11 +297,26 @@ def scene_poses(cfg):
     return [synth.pose_at(cfg.trajectory, i * dt) for i in range(round(cfg.rate_hz * cfg.duration))]
 
 
-def assert_masks_match_oracle(cfg, poses):
-    """The batched masks, and each single-frame mask, equal the per-segment renderer's bytes."""
-    batched = synth._render_frames(
-        cfg, np.array([p for p, _ in poses]), np.array([synth.quat_to_matrix(q) for _, q in poses])
-    )
+def rendered_passes(cfg, monkeypatch):
+    """``generate_dataset(cfg)``, the masks (N, h, w) its passes rendered and
+    the number of passes. Each pass starts from the last frame of the pass
+    before, which must render to the same bytes both times."""
+    passes, render = [], synth._render_frames
+    monkeypatch.setattr(synth, "_render_frames", lambda *args: passes.append(render(*args)) or passes[-1])
+    texts = synth.generate_dataset(cfg)
+    monkeypatch.setattr(synth, "_render_frames", render)
+    for before, after in zip(passes, passes[1:]):
+        assert after[0].tobytes() == before[-1].tobytes()
+    return texts, np.concatenate([passes[0]] + [masks[1:] for masks in passes[1:]]), len(passes)
+
+
+def assert_masks_match_oracle(cfg, poses, batched=None):
+    """The batched masks (by default one ``_render_frames`` pass over all
+    poses), and each single-frame mask, equal the per-segment renderer's bytes."""
+    if batched is None:
+        batched = synth._render_frames(
+            cfg, np.array([p for p, _ in poses]), np.array([synth.quat_to_matrix(q) for _, q in poses])
+        )
     assert batched.shape == (len(poses), cfg.sensor_h, cfg.sensor_w)
     for mask, (p, q) in zip(batched, poses):
         want = edge_frame_segments(cfg, p, oracle_rotation(q))
@@ -277,17 +327,20 @@ def assert_masks_match_oracle(cfg, poses):
 class TestRendererOracle:
     """The batched renderer against ``oracles.edge_frame_segments``, byte for byte."""
 
-    @pytest.mark.parametrize("rows_per_pass", [synth._ROWS_PER_PASS, 150], ids=["one-block", "34-blocks"])
-    def test_default_scene_two_seconds(self, rows_per_pass, monkeypatch):
+    @pytest.mark.parametrize("rows_per_pass, n_passes", [(synth._ROWS_PER_PASS, 1), (150, 37)],
+                             ids=["one-pass", "37-passes"])
+    def test_default_scene_two_seconds(self, rows_per_pass, n_passes, monkeypatch):
         monkeypatch.setattr(synth, "_ROWS_PER_PASS", rows_per_pass)
         cfg = synth.default_scene(seed=7, duration=2.0)
-        assert_masks_match_oracle(cfg, scene_poses(cfg))
+        _, masks, got_passes = rendered_passes(cfg, monkeypatch)
+        assert got_passes == n_passes
+        assert_masks_match_oracle(cfg, scene_poses(cfg), masks)
 
     @pytest.mark.parametrize("rows_per_pass", [synth._ROWS_PER_PASS, 5, 1])
     def test_moving_scene(self, rows_per_pass, monkeypatch):
         monkeypatch.setattr(synth, "_ROWS_PER_PASS", rows_per_pass)
         cfg = TestGenerateDataset().moving_scene(duration=0.3)
-        assert_masks_match_oracle(cfg, scene_poses(cfg))
+        assert_masks_match_oracle(cfg, scene_poses(cfg), rendered_passes(cfg, monkeypatch)[1])
 
     @pytest.mark.parametrize(
         "segment",
@@ -411,3 +464,28 @@ class TestRendererOracle:
             synth.render_edge_frame(cfg, np.zeros(3), IDENTITY)
         with pytest.raises(DataError, match="segment 1"):
             synth.generate_dataset(cfg)
+
+
+_WRITE_PEAK = """
+import resource, sys
+from evpose import synth
+scene = synth.default_scene(duration=float(sys.argv[1]))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+synth.write_dataset(scene, sys.argv[2])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+def test_write_dataset_peak_does_not_grow_with_duration(tmp_path):
+    """Fresh interpreters write the default scene of 6 s (2 passes) and 24 s
+    (5 passes): the longer one peaks at most 4 MiB higher, its poses and
+    groundtruth text. Holding every frame's mask and the whole events text,
+    the writer peaked about 5 MiB higher per second of scene."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    peaks_kib = []
+    for duration in ("6", "24"):
+        cmd = [sys.executable, "-c", _WRITE_PEAK, duration, str(tmp_path / duration)]
+        run = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        peaks_kib.append(int(run.stdout))
+    assert peaks_kib[1] - peaks_kib[0] <= 4 << 10, peaks_kib
