@@ -9,6 +9,8 @@ backprop-through-time vjp. ``linear_pair`` is no fused op: it composes
 matmul and add.
 Gradients are accumulated within a single ``backward`` call; tensors are
 treated as immutable once they enter a graph.
+An op records its inputs and vjp for ``backward`` exactly when one of them
+``requires_grad``; no state outside the tensors turns recording on or off.
 
 A gradient is an ndarray or an ``Outer``: the gradient of a leaf weight
 in a single-row matmul is the rank-1 product of two vectors, kept as its
@@ -26,7 +28,6 @@ import importlib.machinery
 import importlib.util
 import math
 import os
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -35,21 +36,6 @@ import numpy as np
 from .errors import NumericError, ShapeError
 
 Array = np.ndarray
-
-_grad_enabled = True
-
-
-@contextmanager
-def no_grad():
-    """Disable graph recording (inference mode) within the block."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
-    try:
-        yield
-    finally:
-        _grad_enabled = prev
-
 
 _OUTER_BLOCK = 32768  # float64 elements of one multiplied-out Outer block
 
@@ -127,7 +113,7 @@ def parameter(data) -> Tensor:
 
 
 def _node(data: Array, parents: tuple[Tensor, ...], vjp: Callable[[Array], tuple]) -> Tensor:
-    if not (_grad_enabled and any(p.requires_grad for p in parents)):
+    if not any(p.requires_grad for p in parents):
         return Tensor(data)
     out = Tensor(data, requires_grad=True)
     out._parents = parents
@@ -367,7 +353,7 @@ def maxpool2d(x: Tensor, window: int) -> Tensor:
     keeps the earlier element, as ``argmax`` would; a NaN in a window makes
     its output NaN. The max is folded over the window² strided views of
     ``x``. The index of each max, which routes the gradient, is built only
-    while a graph is being recorded, so under ``no_grad`` none is built.
+    when ``x`` requires a gradient: only then is a graph recorded.
     """
     xd = x.data
     if xd.ndim != 3:
@@ -376,7 +362,7 @@ def maxpool2d(x: Tensor, window: int) -> Tensor:
     if window < 1 or h % window or w % window:
         raise ShapeError(f"maxpool2d: window {window} does not tile input {xd.shape}")
     out = xd[:, ::window, ::window].copy()
-    idx = np.zeros(out.shape, dtype=np.intp) if _grad_enabled and x.requires_grad else None
+    idx = np.zeros(out.shape, dtype=np.intp) if x.requires_grad else None
     for j in range(1, window * window):
         ky, kx = divmod(j, window)
         view = xd[:, ky::window, kx::window]
@@ -526,11 +512,13 @@ def grad_check(
     """Worst relative error between backward and central finite differences.
 
     Relative error per coordinate is |a - n| / max(1e-8, |a| + |n|).
-    ``f`` must be a deterministic scalar function of ``params``.
+    ``f`` must be a deterministic scalar function of ``params``; the finite
+    differences call it on constant views of them, which record no graph.
     """
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
     analytic = backward(f(params), params=list(params))
+    constants = [tensor(p.data) for p in params]
     worst = 0.0
     for p in params:
         a_flat = np.asarray(analytic[p]).reshape(-1)
@@ -538,11 +526,9 @@ def grad_check(
         for i in range(data.size):
             orig = data[i]
             data[i] = orig + eps
-            with no_grad():
-                f_plus = float(f(params).data)
+            f_plus = float(f(constants).data)
             data[i] = orig - eps
-            with no_grad():
-                f_minus = float(f(params).data)
+            f_minus = float(f(constants).data)
             data[i] = orig
             numeric = (f_plus - f_minus) / (2.0 * eps)
             rel = abs(float(a_flat[i]) - numeric) / max(1e-8, abs(float(a_flat[i])) + abs(numeric))

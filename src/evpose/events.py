@@ -226,37 +226,36 @@ def _load_pieces(read, stops, n_lines: int, dtype, row_shape: tuple) -> np.ndarr
     one of the ascending offsets ``stops`` (or 0) to the next; every stop
     but the last follows a line feed. None when the per-line parser must
     decide: a piece that is not ASCII, holds a break np.loadtxt does not
-    see, or that it refuses or warns about."""
+    see, or that it refuses."""
     out = np.empty((n_lines, *row_shape), dtype)
     # Rows are copied as bytes: a field-wise copy of packed EVENT_DTYPE
     # rows is about ten times slower.
     raw = out.view(np.uint8).reshape(n_lines, -1)
     n = 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # "input contained no data"; int-via-float on numpy < 2
-        start = 0
-        for stop in stops:
-            if stop == start:  # no line feed since the last stop
-                continue
-            piece = read(start, stop)
-            start = stop
-            if piece.isspace():  # blank lines only, of which np.loadtxt warns
-                continue
-            if not piece.isascii() or any(c in piece for c in _SPLITLINES_ONLY_BREAKS):
-                return None
-            try:
-                # Bytes: a StringIO would hold the text as 4 bytes per
-                # character. A value that does not fit its field (x = 70000,
-                # p = 300) is a read error, so nothing wraps around.
-                rows = np.loadtxt(io.BytesIO(piece), dtype=dtype, comments=None, encoding="ascii",
-                                  ndmin=1 + len(row_shape))
-            except (ValueError, Warning):
-                return None
-            if rows.shape[1:] != row_shape:
-                return None
-            raw[n : n + len(rows)] = rows.view(np.uint8).reshape(len(rows), -1)
-            n += len(rows)
-            del piece, rows  # freed before the next piece is read
+    start = 0
+    for stop in stops:
+        if stop == start:  # no line feed since the last stop
+            continue
+        piece = read(start, stop)
+        start = stop
+        if piece.isspace():  # blank lines only: np.loadtxt would warn "input contained no data"
+            continue
+        if not piece.isascii() or any(c in piece for c in _SPLITLINES_ONLY_BREAKS):
+            return None
+        try:
+            # Bytes: a StringIO would hold the text as 4 bytes per
+            # character. A value that does not fit its field (x = 70000,
+            # p = 300) or, on numpy 2, an integer spelled "1.0" or "1e0"
+            # is a read error, so nothing wraps around.
+            rows = np.loadtxt(io.BytesIO(piece), dtype=dtype, comments=None, encoding="ascii",
+                              ndmin=1 + len(row_shape))
+        except ValueError:
+            return None
+        if rows.shape[1:] != row_shape:
+            return None
+        raw[n : n + len(rows)] = rows.view(np.uint8).reshape(len(rows), -1)
+        n += len(rows)
+        del piece, rows  # freed before the next piece is read
     del raw
     out.resize((n, *row_shape), refcheck=False)  # drops the rows of blank lines, in place
     return out

@@ -305,10 +305,11 @@ def predict(image: EventImage, params: ModelParams) -> PosePrediction:
     """Deterministic inference; the quaternion is normalized here only.
 
     Raises DegenerateOutputError for a non-finite position or a zero-norm,
-    non-finite or too small quaternion.
+    non-finite or too small quaternion. The network runs on constant views
+    of the parameters' arrays, so no graph is recorded.
     """
-    with ad.no_grad():
-        out = forward(image, params)
+    constants = {name: ad.tensor(t.data) for name, t in params.tensors.items()}
+    out = forward(image, ModelParams(params.config, constants))
     vec = out.data[0]
     if not np.isfinite(vec[:3]).all():
         raise DegenerateOutputError("network produced a non-finite position")

@@ -94,7 +94,8 @@ def train(config: TrainConfig, windows: Sequence[EventWindow]) -> Checkpoint:
     is painted into its event image at its step, so no image outlives its
     step, then runs the forward pass with its own dropout seed, the
     position+quaternion loss and backprop; then one momentum-SGD step
-    applies the slice's mean gradient.
+    applies the slice's mean gradient. A non-finite loss, prediction or
+    gradient is a NumericError naming the epoch and the window indices.
     """
     if len(windows) == 0:
         raise InsufficientDataError("train: no training windows")
@@ -110,7 +111,8 @@ def train(config: TrainConfig, windows: Sequence[EventWindow]) -> Checkpoint:
         total = 0.0
         for start in range(0, len(order), config.batch_size):
             grads = []
-            for idx in order[start : start + config.batch_size]:
+            batch = order[start : start + config.batch_size]
+            for idx in batch:
                 drop_seed = int(rng.integers(0, 2**63))
                 window = windows[idx]
                 out = _model.forward(image_from_window(window, cfg.input_h, cfg.input_w), params, drop_seed)
@@ -123,7 +125,11 @@ def train(config: TrainConfig, windows: Sequence[EventWindow]) -> Checkpoint:
                     raise NumericError(f"{exc} at epoch {epoch + 1}, window index {idx}") from None
                 total += value
                 grads.append(ad.backward(loss, params=tensors))
-            ad.sgd_step(tensors, _mean_gradient(grads), opt)
+            try:
+                ad.sgd_step(tensors, _mean_gradient(grads), opt)
+            except NumericError as exc:
+                where = f"index {batch[0]}" if len(batch) == 1 else f"indices {', '.join(map(str, batch))}"
+                raise NumericError(f"{exc} at epoch {epoch + 1}, window {where}") from None
         history.append(total / len(order))
     return Checkpoint(params, opt, config.epochs, history)
 

@@ -45,6 +45,7 @@ _Z_NEAR = 1e-3
 _MAX_PROJECTED = 2.0**44
 _ROWS_PER_PASS = 1 << 16  # (frame, segment) rows per pass: bounds the renderer's temporaries
 _PIXELS_PER_PASS = 1 << 22  # frames * sensor pixels per pass: the masks and their frame-to-frame diff take a byte each
+_POSES_PER_BLOCK = 1 << 12  # groundtruth poses formatted at once: about 680 B each while formatted
 
 
 @dataclass(frozen=True)
@@ -277,7 +278,7 @@ def _sample_scene(config: SceneConfig) -> tuple[Poses, Iterator[np.ndarray]]:
     if n_samples * 8 * 8 > sys.maxsize:  # t, p and q take 8 float64 per sample
         raise DataError(f"{n_samples} samples take more than the {sys.maxsize} bytes an array can hold")
     poses = Poses(np.arange(n_samples) * (1.0 / config.rate_hz), np.empty((n_samples, 3)), np.empty((n_samples, 4)))
-    for i, t in enumerate(poses.t.tolist()):
+    for i, t in enumerate(map(float, poses.t)):  # no list: sampling holds the pose arrays alone
         poses.p[i], poses.q[i] = pose_at(config.trajectory, t)
     frames = max(2, min(_ROWS_PER_PASS // len(config.segments), _PIXELS_PER_PASS // config.sensor_w // config.sensor_h))
     rng = np.random.default_rng(config.seed)  # drawn pass by pass, as one draw would give
@@ -338,8 +339,9 @@ def default_scene(seed: int = 7, rate_hz: float = 200.0, duration: float = 2.0) 
 
 
 def write_dataset(config: SceneConfig, out_dir) -> tuple[int, int]:
-    """Write events.txt pass by pass, then groundtruth.txt; returns (n_events, n_poses).
-    events.txt is replaced only after its last pass, so a failed pass leaves no partial file."""
+    """Write events.txt pass by pass, then groundtruth.txt ``_POSES_PER_BLOCK`` poses at a time;
+    returns (n_events, n_poses). events.txt is replaced only after its last pass, so a failed pass
+    leaves no partial file."""
     poses, passes = _sample_scene(config)
     os.makedirs(out_dir, exist_ok=True)
     tmp = os.path.join(out_dir, f".events.txt.{os.getpid()}.tmp")
@@ -354,5 +356,7 @@ def write_dataset(config: SceneConfig, out_dir) -> tuple[int, int]:
         if os.path.exists(tmp):  # a pass failed before the rename
             os.remove(tmp)
     with open(os.path.join(out_dir, "groundtruth.txt"), "w", encoding="utf-8") as f:
-        f.write(format_poses(poses))
+        for i in range(0, len(poses), _POSES_PER_BLOCK):
+            block = slice(i, i + _POSES_PER_BLOCK)
+            f.write(format_poses(Poses(poses.t[block], poses.p[block], poses.q[block])))
     return n_events, len(poses)

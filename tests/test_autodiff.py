@@ -1,3 +1,5 @@
+import importlib.machinery
+import importlib.util
 import zlib
 
 import numpy as np
@@ -646,6 +648,28 @@ class TestSgd:
         nan = np.isnan(want)
         assert np.array_equal(np.isnan(got), nan)
         assert got[~nan].tobytes() == want[~nan].tobytes()
+
+    @pytest.mark.parametrize(
+        "missing, error, message",
+        [("scipy", ModuleNotFoundError, "scipy is not installed"), ("_fblas", ImportError, "_fblas, not found in ")],
+    )
+    def test_missing_blas_fails_the_first_step_untouched(self, monkeypatch, missing, error, message):
+        find_module, find_in = importlib.util.find_spec, importlib.machinery.PathFinder.find_spec
+        monkeypatch.setattr(ad, "_daxpy", None)  # the next step loads it anew
+        if missing == "scipy":
+            monkeypatch.setattr(importlib.util, "find_spec", lambda name, *a: None if name == "scipy" else find_module(name, *a))
+        else:
+            monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
+                                lambda name, *a: None if name == "_fblas" else find_in(name, *a))
+        p = ad.parameter(np.ones(3))
+        state = ad.make_opt_state([p], lr=0.1, momentum=0.9, weight_decay=1e-3)
+        with pytest.raises(error, match=message) as exc:
+            ad.sgd_step([p], {p: np.ones(3)}, state)
+        assert type(exc.value) is error
+        if missing == "scipy":
+            assert exc.value.name == "scipy"
+        assert ad._daxpy is None
+        assert p.data.tolist() == [1.0] * 3 and state.velocity[0].tolist() == [0.0] * 3
 
 
 def assert_last_gradient_rejected(bad):

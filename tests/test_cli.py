@@ -641,3 +641,21 @@ def test_diverging_training_names_epoch_and_window(lr, message, diverging_dir, t
     assert code == 3
     assert error == f"evpose: numeric failure: {message}"
     assert warned and all(line.startswith("evpose: warning: ") for line in warned)
+
+
+def test_non_finite_gradient_names_epoch_and_window(diverging_dir, tmp_path, capsys, monkeypatch):
+    backward = ad.backward
+
+    def nan_backward(loss, params):
+        grads = backward(loss, params=params)
+        grads[params[0]] = np.full(params[0].data.shape, np.nan)
+        return grads
+
+    monkeypatch.setattr(ad, "backward", nan_backward)
+    (tmp_path / "train.json").write_text(config.to_json(pipeline.TrainConfig(model=m.toy_config(), epochs=1)))
+    code = main(["train", "--data", str(diverging_dir), "--config", str(tmp_path / "train.json"),
+                 "--out", str(tmp_path / "model.ckpt")])
+    assert code == 3
+    assert re.fullmatch(r"evpose: numeric failure: non-finite gradient; optimizer step aborted "
+                        r"at epoch 1, window index \d+\n", capsys.readouterr().err)
+    assert not (tmp_path / "model.ckpt").exists()

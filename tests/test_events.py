@@ -1,5 +1,6 @@
 import math
 import os
+import threading
 import tracemalloc
 import warnings
 from unittest import mock
@@ -254,6 +255,36 @@ def test_read_events_takes_a_pipe():
         assert read_events(f"/dev/fd/{r}", 8, 6).tobytes() == parse_events(text, 8, 6).tobytes()
     finally:
         os.close(r)
+
+
+def test_a_warning_in_another_thread_is_not_raised_while_events_parse(monkeypatch):
+    """Parsing installs no warning filter, so a thread that warns while
+    another parses gets its own handling. When the reader turned every
+    warning into an error around ``np.loadtxt``, this warning was raised."""
+    inside, release = threading.Event(), threading.Event()
+    parsed = []
+
+    def held_loadtxt(*args, **kwargs):
+        if threading.current_thread() is parser:
+            inside.set()
+            release.wait(timeout=60)
+        return real_loadtxt(*args, **kwargs)
+
+    real_loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", held_loadtxt)
+    parser = threading.Thread(target=lambda: parsed.append(parse_events("0.1 1 2 1\n0.2 3 4 0\n", 8, 6)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        parser.start()
+        try:
+            assert inside.wait(timeout=60)
+            warnings.warn("warned while another thread parses", UserWarning)
+        finally:
+            release.set()
+            parser.join(timeout=60)
+    assert not parser.is_alive()
+    assert [str(w.message) for w in caught] == ["warned while another thread parses"]
+    assert parsed[0].tolist() == [(0.1, 1, 2, 1), (0.2, 3, 4, -1)]
 
 
 @pytest.fixture(scope="module")

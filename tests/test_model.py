@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -452,6 +453,52 @@ class TestPredict:
         params.tensors["head.out.b"].data[0, 0] = bad
         with pytest.raises(DegenerateOutputError, match="position"):
             m.predict(blank_image(), params)
+
+    def test_predict_records_no_graph(self, monkeypatch):
+        heads = []
+
+        def head(h, params):
+            heads.append(real_head(h, params))
+            return heads[-1]
+
+        real_head = m.pose_head
+        monkeypatch.setattr(m, "pose_head", head)
+        m.predict(blank_image(), m.init_params(m.toy_config(), seed=4))
+        assert count_graph_nodes(heads[0]) == 0 and not heads[0].requires_grad
+
+    def test_training_forward_records_its_graph_while_another_thread_predicts(self, monkeypatch):
+        """Prediction turns nothing off for other threads: a training step
+        taken while another thread is inside ``predict`` gets its gradient.
+        When ``predict`` switched graph recording off process-wide, this
+        step recorded no graph and ``backward`` returned zeros."""
+        params = m.init_params(m.toy_config(), seed=4)
+        inside, release = threading.Event(), threading.Event()
+        predictions = []
+
+        def held_head(h, params):
+            if threading.current_thread() is predictor:
+                inside.set()
+                release.wait(timeout=60)
+            return real_head(h, params)
+
+        real_head = m.pose_head
+        monkeypatch.setattr(m, "pose_head", held_head)
+        predictor = threading.Thread(target=lambda: predictions.append(m.predict(blank_image(), params)))
+        predictor.start()
+        try:
+            assert inside.wait(timeout=60)
+            label = Poses(0.0, np.array([0.1, -0.2, 0.3]), np.array([0.0, 0.0, 0.0, 1.0]))
+            loss = m.pose_loss(m.forward(blank_image(), params, dropout_seed=1), label)
+            grads = ad.backward(loss, params=params.ordered())
+        finally:
+            release.set()
+            predictor.join(timeout=60)
+        assert not predictor.is_alive()
+        assert np.asarray(grads[params.tensors["feat.w"]]).any()
+        alone = m.predict(blank_image(), params)
+        assert [v.tobytes() for v in (predictions[0].p_hat, predictions[0].q_hat)] == [
+            v.tobytes() for v in (alone.p_hat, alone.q_hat)
+        ]
 
 
 def test_predict_of_a_float16_image_equals_its_float64_pixels():

@@ -13,7 +13,7 @@ import pytest
 from evpose import autodiff as ad
 from evpose import config, evaluation, pipeline
 from evpose import model as m
-from evpose.errors import BoundsError, CheckpointError, InsufficientDataError
+from evpose.errors import BoundsError, CheckpointError, InsufficientDataError, NumericError
 from evpose.event_image import image_from_window
 from evpose.events import EVENT_DTYPE, EventWindow, Poses
 from oracles import train_accumulating
@@ -113,6 +113,33 @@ class TestTrain:
         windows[4] = EventWindow(bad, windows[4].label, 4)
         with pytest.raises(BoundsError, match=r"event at \(8, \d+\) outside 8x8 image"):
             pipeline.train(toy_train_config(epochs=1), windows)
+
+    @pytest.mark.parametrize("batch_size, where", [(1, "index {}"), (3, "indices {}, {}, {}")])
+    def test_non_finite_gradient_names_epoch_and_windows(self, monkeypatch, batch_size, where):
+        # the 7th backward is the first of epoch 2: its gradient gets a NaN
+        painted, backward, calls = [], ad.backward, []
+
+        def paint(window, *args, **kwargs):
+            painted.append(window.sequence_index)  # its index in self.windows
+            return image_from_window(window, *args, **kwargs)
+
+        def nan_backward(*args, **kwargs):
+            grads = backward(*args, **kwargs)
+            calls.append(None)
+            if len(calls) == 7:
+                g = grads[kwargs["params"][0]] = np.array(grads[kwargs["params"][0]])
+                g.flat[0] = np.nan
+            return grads
+
+        monkeypatch.setattr(pipeline, "image_from_window", paint)
+        monkeypatch.setattr(ad, "backward", nan_backward)
+        with pytest.raises(NumericError) as exc:
+            pipeline.train(toy_train_config(batch_size=batch_size), self.windows)
+        slice_ = painted[6 : 6 + batch_size]
+        assert len(slice_) == batch_size
+        assert str(exc.value) == (
+            f"non-finite gradient; optimizer step aborted at epoch 2, window {where.format(*slice_)}"
+        )
 
     def test_empty_training_set_rejected(self):
         with pytest.raises(InsufficientDataError):

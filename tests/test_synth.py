@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -489,3 +490,41 @@ def test_write_dataset_peak_does_not_grow_with_duration(tmp_path):
         assert run.returncode == 0, run.stderr
         peaks_kib.append(int(run.stdout))
     assert peaks_kib[1] - peaks_kib[0] <= 4 << 10, peaks_kib
+
+
+@pytest.mark.parametrize("poses_per_block", [1, 7, synth._POSES_PER_BLOCK])
+def test_groundtruth_written_in_blocks_is_the_whole_text(poses_per_block, tmp_path, monkeypatch):
+    cfg = dataclasses.replace(synth.default_scene(seed=3, duration=0.5), sensor_w=8, sensor_h=8, focal=9.0)
+    want = synth.generate_dataset(cfg)[1]
+    monkeypatch.setattr(synth, "_POSES_PER_BLOCK", poses_per_block)
+    assert synth.write_dataset(cfg, tmp_path)[1] == 100
+    assert (tmp_path / "groundtruth.txt").read_text(encoding="utf-8") == want
+
+
+def test_groundtruth_peak_grows_by_at_most_the_pose_arrays(tmp_path, monkeypatch):
+    """Scenes of 4,096 and 16,384 poses: the traced peak while groundtruth.txt
+    is written, above the traced memory before ``write_dataset``, grows by
+    at most the poses' 64 B each (t, p and q), plus 4 KiB of interpreter
+    objects. Formatting all poses at once peaked about 700 B a pose higher.
+    The peak is reset at the first block, so the event passes, whose sizes
+    vary with the trajectory, do not count."""
+    def format_block(poses):
+        if not formatting:
+            formatting.append(None)
+            tracemalloc.reset_peak()
+        return format_poses(poses)
+
+    format_poses = synth.format_poses
+    monkeypatch.setattr(synth, "format_poses", format_block)
+    peaks = []
+    for n in (synth._POSES_PER_BLOCK, 4 * synth._POSES_PER_BLOCK):
+        scene = dataclasses.replace(synth.default_scene(duration=n / 200.0), sensor_w=8, sensor_h=8, focal=8.75)
+        formatting = []
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            assert synth.write_dataset(scene, tmp_path / str(n))[1] == n
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 64 * 3 * synth._POSES_PER_BLOCK + (4 << 10), peaks
