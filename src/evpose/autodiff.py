@@ -596,6 +596,8 @@ def sgd_step(
     gradient, parameter and velocity is checked first, so a ShapeError or
     NumericError leaves all of them untouched.
     """
+    if len(state.velocity) != len(params):
+        raise ShapeError(f"sgd_step: {len(state.velocity)} velocities for {len(params)} parameters")
     gs = [grads[p] for p in params]
     for p, g, v in zip(params, gs, state.velocity):
         if g.shape != p.data.shape:

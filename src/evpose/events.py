@@ -58,9 +58,12 @@ EVENT_DTYPE = np.dtype([("t", "<f8"), ("x", "<u2"), ("y", "<u2"), ("rho", "i1")]
 and row, polarity -1 or +1. Packed, 13 bytes."""
 
 _MAX_SENSOR_SIDE = np.iinfo(np.uint16).max  # every coordinate < side fits in "x"/"y"
-# Line breaks of str.splitlines that np.loadtxt reads as field separators
-# inside one row (the non-ASCII ones never reach it).
-_SPLITLINES_ONLY_BREAKS = b"\x0b\x0c\x1c\x1d\x1e"
+# ASCII bytes np.loadtxt reads otherwise than the per-line parser: the line
+# breaks of str.splitlines, which it takes for field separators inside one
+# row (the non-ASCII ones never reach it), and \x1f, blank to it but not to
+# bytes.isspace, so a piece of blank lines and \x1f would make it warn "input
+# contained no data" and return no rows.
+_LOADTXT_MISREADS = b"\x0b\x0c\x1c\x1d\x1e\x1f"
 
 PIECE_SIZE = 1 << 20
 """About how many characters of a text, or bytes of a file, np.loadtxt
@@ -225,8 +228,8 @@ def _load_pieces(read, stops, n_lines: int, dtype, row_shape: tuple) -> np.ndarr
     to the rows filled. ``read(start, stop)`` gives the text's bytes from
     one of the ascending offsets ``stops`` (or 0) to the next; every stop
     but the last follows a line feed. None when the per-line parser must
-    decide: a piece that is not ASCII, holds a break np.loadtxt does not
-    see, or that it refuses."""
+    decide: a piece that is not ASCII, holds a byte np.loadtxt misreads
+    (``_LOADTXT_MISREADS``), or that it refuses."""
     out = np.empty((n_lines, *row_shape), dtype)
     # Rows are copied as bytes: a field-wise copy of packed EVENT_DTYPE
     # rows is about ten times slower.
@@ -240,7 +243,7 @@ def _load_pieces(read, stops, n_lines: int, dtype, row_shape: tuple) -> np.ndarr
         start = stop
         if piece.isspace():  # blank lines only: np.loadtxt would warn "input contained no data"
             continue
-        if not piece.isascii() or any(c in piece for c in _SPLITLINES_ONLY_BREAKS):
+        if not piece.isascii() or any(c in piece for c in _LOADTXT_MISREADS):
             return None
         try:
             # Bytes: a StringIO would hold the text as 4 bytes per

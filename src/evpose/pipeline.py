@@ -5,26 +5,18 @@ default), each step taking the mean of the windows' gradients. It is fully
 deterministic given the seed: epoch shuffles and per-sample dropout masks
 all derive from one seeded generator.
 
-Checkpoints (format version 2) are a one-line JSON ``_Header`` (format,
-version, model config, parameter manifest, optimizer hyperparameters,
+Checkpoints (format version 3) hold the trained model only: a one-line
+JSON ``_Header`` (format, version, model config, parameter manifest,
 epoch, loss history; read strictly) followed by the raw little-endian
-float64 parameter arrays in manifest order, then the velocity arrays in
-the same order. The manifest stores each LSTM layer as fused ``w_x``,
-``w_h`` and ``b`` gate tensors (version 1 stored twelve per-gate tensors
-and is not readable). The header line is padded with spaces before its
-newline to a multiple of 8 bytes, so every array starts 8-byte aligned.
-Each array is written from its own buffer, with no whole-array copy.
-
-A load reads the parameters into fresh arrays. The velocities, which
-inference never reads, stay in the file: they are views of one
-copy-on-write map of it, read page by page only when a resumed step, a
-save or a comparison touches them, and writeable without changing the
-file. A file saved before headers were padded has its velocities
-unaligned; a load copies those into memory. Since a loaded checkpoint maps
-its file, rewriting that file in place while the checkpoint is alive is
-unsupported. A save never does: files are written to a temporary name and
-renamed into place, so a failed or interrupted save leaves any previous
-checkpoint untouched, and a live checkpoint keeps the file it mapped.
+float64 parameter arrays in manifest order. The manifest stores each LSTM
+layer as fused ``w_x``, ``w_h`` and ``b`` gate tensors (version 1 stored
+twelve per-gate tensors and is not readable). Each array is written from
+its own buffer, with no whole-array copy, and a load reads each into a
+fresh array. A version 2 file also held the optimizer hyperparameters in
+its header and the momentum velocities after the parameters; it still
+loads, and neither is read. A save writes a temporary name and renames it
+into place, so a failed or interrupted save leaves any previous checkpoint
+untouched.
 """
 
 from __future__ import annotations
@@ -46,7 +38,7 @@ from .events import EventWindow
 from .model import ModelConfig, ModelParams, param_manifest
 
 _CHECKPOINT_FORMAT = "evpose-checkpoint"
-_CHECKPOINT_VERSION = 2
+_CHECKPOINT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -80,8 +72,12 @@ class TrainConfig:
 
 @dataclass(eq=False)
 class Checkpoint:
+    """A model, the epochs it trained and their mean losses. ``opt_state`` is
+    the optimizer state ``train`` ended with; no file holds one, so it is
+    None for a loaded checkpoint."""
+
     params: ModelParams
-    opt_state: ad.OptState
+    opt_state: ad.OptState | None
     epoch: int
     loss_history: list[float]
 
@@ -160,48 +156,36 @@ class _ParamEntry:
 
 
 @dataclass(frozen=True)
-class _Optimizer:
-    lr: float
-    momentum: float
-    weight_decay: float
-
-
-@dataclass(frozen=True)
 class _Header:
     format: str
     version: int
     model: ModelConfig
     params: tuple[_ParamEntry, ...]
-    optimizer: _Optimizer
     epoch: int
     loss_history: tuple[float, ...]
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
+    """Write ``ckpt`` without its ``opt_state``."""
     manifest = param_manifest(ckpt.params.config)
-    opt = ckpt.opt_state
     header = _Header(
         format=_CHECKPOINT_FORMAT,
         version=_CHECKPOINT_VERSION,
         model=ckpt.params.config,
         params=tuple(_ParamEntry(name, shape) for name, shape in manifest),
-        optimizer=_Optimizer(opt.lr, opt.momentum, opt.weight_decay),
         epoch=ckpt.epoch,
         loss_history=tuple(ckpt.loss_history),
     )
     arrays = [ckpt.params.tensors[name].data for name, _ in manifest]
-    if len(opt.velocity) != len(manifest):
-        raise CheckpointError(f"{len(opt.velocity)} velocities for {len(manifest)} parameters")
-    for (name, shape), arr, vel in zip(manifest, arrays, opt.velocity):
-        if arr.shape != shape or vel.shape != shape:
-            raise CheckpointError(f"{name}: parameter {arr.shape}, velocity {vel.shape}, manifest {shape}")
+    for (name, shape), arr in zip(manifest, arrays):
+        if arr.shape != shape:
+            raise CheckpointError(f"{name}: parameter {arr.shape}, manifest {shape}")
     path = os.fspath(path)
     tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as f:
-            line = json.dumps(asdict(header)).encode("utf-8")
-            f.write(line + b" " * (-(len(line) + 1) % 8) + b"\n")  # arrays start 8-byte aligned
-            for arr in arrays + list(opt.velocity):
+            f.write(json.dumps(asdict(header)).encode("utf-8") + b"\n")
+            for arr in arrays:
                 f.write(memoryview(np.ascontiguousarray(arr, dtype="<f8")))  # from its buffer, no copy
         os.replace(tmp, path)
     finally:
@@ -210,10 +194,13 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
 
 def _parse_header(header) -> _Header:
-    """Check the format and version, then read the rest strictly as a ``_Header``."""
+    """Check the format and version, then read the rest strictly as a
+    ``_Header``. A version 2 header's ``optimizer`` block is dropped unread."""
     if not isinstance(header, dict) or header.get("format") != _CHECKPOINT_FORMAT:
         raise CheckpointError("not an evpose checkpoint")
-    if header.get("version") != _CHECKPOINT_VERSION:
+    if header.get("version") == 2:
+        header.pop("optimizer", None)
+    elif header.get("version") != _CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {header.get('version')!r}")
     try:
         parsed = from_dict(_Header, header, "header")
@@ -227,9 +214,8 @@ def _parse_header(header) -> _Header:
 def load_checkpoint(path) -> Checkpoint:
     """Load a checkpoint; reloaded parameters reproduce predictions bit-exactly.
 
-    Parameters are read into fresh arrays; velocities are copy-on-write
-    views of a map of the file (see the module docstring). Raises
-    CheckpointError for a truncated, malformed or version-mismatched
+    Parameters are read into fresh arrays, and ``opt_state`` is None.
+    Raises CheckpointError for a truncated, malformed or version-mismatched
     file.
     """
     with open(path, "rb") as f:
@@ -241,11 +227,10 @@ def load_checkpoint(path) -> Checkpoint:
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CheckpointError(f"unreadable checkpoint header: {exc}") from None
         parsed = _parse_header(header)
-        manifest = param_manifest(parsed.model)
-        count = parsed.model.param_count()
-        # parameters, then velocities: checked before reading, so a header
-        # cannot make the reader ask for more memory than the file holds
-        declared = 2 * 8 * count
+        # checked before reading, so a header cannot make the reader ask for
+        # more memory than the file holds; a version 2 file's velocities
+        # follow its parameters and are not read
+        declared = (2 if parsed.version == 2 else 1) * 8 * parsed.model.param_count()
         held = os.fstat(f.fileno()).st_size - f.tell()
         if declared != held:
             raise CheckpointError(
@@ -258,20 +243,5 @@ def load_checkpoint(path) -> Checkpoint:
                 raise CheckpointError("checkpoint file ended inside its arrays")
             return arr
 
-        tensors = {name: ad.Tensor(read_array(shape), requires_grad=True) for name, shape in manifest}
-        try:
-            region = np.memmap(f, "<f8", mode="c", offset=f.tell(), shape=(count,))
-        except ValueError:  # mmap: the file shrank since its size was checked
-            raise CheckpointError("checkpoint file ended inside its arrays") from None
-    velocity, start = [], 0
-    for _, shape in manifest:
-        stop = start + math.prod(shape)
-        # a velocity of an unpadded (older) file is unaligned: copied, as daxpy needs
-        velocity.append(np.require(region[start:stop].reshape(shape), requirements="A"))
-        start = stop
-    return Checkpoint(
-        params=ModelParams(parsed.model, tensors),
-        opt_state=ad.OptState(velocity=velocity, **asdict(parsed.optimizer)),
-        epoch=parsed.epoch,
-        loss_history=list(parsed.loss_history),
-    )
+        tensors = {e.name: ad.Tensor(read_array(e.shape), requires_grad=True) for e in parsed.params}
+    return Checkpoint(ModelParams(parsed.model, tensors), None, parsed.epoch, list(parsed.loss_history))

@@ -541,6 +541,17 @@ class TestSgd:
             ad.sgd_step([p], {p: np.ones((3, 4))}, state)
         assert np.array_equal(p.data, np.ones((4, 3))) and not state.velocity[0].any()
 
+    @pytest.mark.parametrize("velocities", [1, 3])
+    def test_velocity_count_off_the_parameters_is_rejected(self, velocities):
+        # zip would step the parameters that have a velocity and skip the rest
+        a, b = ad.parameter(np.ones(3)), ad.parameter(np.ones(2))
+        state = ad.OptState(lr=0.1, momentum=0.9, weight_decay=0.0,
+                            velocity=[np.zeros(3), np.zeros(2), np.zeros(1)][:velocities])
+        with pytest.raises(ShapeError, match=f"sgd_step: {velocities} velocities for 2 parameters"):
+            ad.sgd_step([a, b], {a: np.ones(3), b: np.ones(2)}, state)
+        assert a.data.tolist() == [1.0] * 3 and b.data.tolist() == [1.0] * 2
+        assert not any(v.any() for v in state.velocity)
+
     @pytest.mark.parametrize("kind", ["unaligned", "float32", "read-only"])
     @pytest.mark.parametrize("which", ["parameter", "velocity"])
     def test_array_daxpy_cannot_update_in_place_is_rejected(self, kind, which):

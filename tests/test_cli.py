@@ -465,6 +465,8 @@ _BAD_INPUTS = {
     "synth-negative-seed": ("synth", _edited(_SCENE, ["seed"], -1), 2, "seed must be >= 0"),
     "synth-sample-count-overflow": ("synth", _edited(json.loads(_edited(_SCENE, ["rate_hz"], 1e300)), ["duration"], 1e10),
                                     2, "rate_hz * duration must be finite"),
+    "synth-rate-0": ("synth", _edited(_SCENE, ["rate_hz"], 0.0), 2, "rate_hz must be positive, got 0.0"),
+    "synth-duration-0": ("synth", _edited(_SCENE, ["duration"], 0.0), 2, "duration must be positive, got 0.0"),
     "synth-one-sample": ("synth", _edited(_SCENE, ["duration"], 0.005), 2,
                          "rate_hz * duration must give at least 2 samples, got 1"),
     # pose arrays of 64 B a sample: past sys.maxsize bytes, then past memory, before a pose is sampled
@@ -487,10 +489,12 @@ _BAD_INPUTS = {
     "synth-bad-json": ("synth", "{", 2, "SceneConfig: invalid JSON"),
     "synth-not-utf8": ("synth", b"\x80\x81", 2, "SceneConfig: invalid JSON"),
     "eval-header-no-model": ("eval-header", lambda h: h.pop("model"), 2, "header: missing key 'model'"),
-    "eval-header-nested-missing": ("eval-header", lambda h: h["optimizer"].pop("lr"), 2, "header.optimizer: missing key 'lr'"),
+    "eval-header-nested-missing": ("eval-header", lambda h: h["params"][0].pop("shape"), 2,
+                                   "header.params[0]: missing key 'shape'"),
+    "eval-header-other-format": ("eval-header", lambda h: h.update(format="other"), 2, "not an evpose checkpoint"),
     "eval-header-unknown-key": ("eval-header", lambda h: h.update(note="x"), 2, "header: unknown key(s) 'note'"),
     "eval-header-data-size": ("eval-header", lambda h: _declare_feature_dim(h, 10**12), 2,
-                              "checkpoint header declares 1040000512009776 bytes of arrays, the file holds 28464"),
+                              "checkpoint header declares 520000256004888 bytes of arrays, the file holds 14232"),
     "convert-events-not-utf8": ("convert-events", b"0.1 1 1 1\n0.2 2 \xff 1\n", 2, "line 2: not UTF-8 text"),
     "convert-events-not-utf8-cr-lines": ("convert-events", b"0.1 1 1 1\r0.2 2 2 1\r0.3 3 \xff 1\r", 2,
                                          "line 3: not UTF-8 text"),

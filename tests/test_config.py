@@ -43,7 +43,7 @@ TOY_TRAIN_CONFIG_JSON = """\
 }"""
 
 TOY_CHECKPOINT_HEADER = (
-    '{"format": "evpose-checkpoint", "version": 2, "model": {"input_h": 8, "input_w": 8, '
+    '{"format": "evpose-checkpoint", "version": 3, "model": {"input_h": 8, "input_w": 8, '
     '"conv_blocks": [[4, 3, 1, 2]], "feature_dim": 16, "lstm_hidden": 8, "lstm_layers": 2, '
     '"fc_hidden": 8, "dropout_rate": 0.5}, "params": [{"name": "conv0.w", "shape": [4, 1, 3, 3]}, '
     '{"name": "conv0.b", "shape": [4]}, {"name": "feat.w", "shape": [64, 16]}, '
@@ -52,8 +52,14 @@ TOY_CHECKPOINT_HEADER = (
     '{"name": "lstm1.w_x", "shape": [8, 32]}, {"name": "lstm1.w_h", "shape": [8, 32]}, '
     '{"name": "lstm1.b", "shape": [1, 32]}, {"name": "head.fc1.w", "shape": [8, 8]}, '
     '{"name": "head.fc1.b", "shape": [1, 8]}, {"name": "head.out.w", "shape": [8, 7]}, '
-    '{"name": "head.out.b", "shape": [1, 7]}], "optimizer": {"lr": 0.001, "momentum": 0.9, '
-    '"weight_decay": 1e-06}, "epoch": 2, "loss_history": [0.75, 0.5]}'
+    '{"name": "head.out.b", "shape": [1, 7]}], "epoch": 2, "loss_history": [0.75, 0.5]}'
+)
+# version 2 also held the optimizer hyperparameters, and padded the line to
+# 896 bytes, newline included, before the parameters and the velocities
+TOY_CHECKPOINT_HEADER_V2 = (
+    TOY_CHECKPOINT_HEADER.replace('"version": 3', '"version": 2').replace(
+        ', "epoch"', ', "optimizer": {"lr": 0.001, "momentum": 0.9, "weight_decay": 1e-06}, "epoch"')
+    + " " * 5
 )
 
 
@@ -70,9 +76,20 @@ class TestFormats:
         assert config.to_json(pipeline.TrainConfig(model=m.toy_config())) == TOY_TRAIN_CONFIG_JSON
 
     def test_checkpoint_header_is_pinned(self, tmp_path):
-        header, _, _ = toy_checkpoint_bytes(tmp_path).partition(b"\n")
-        # five spaces pad the line, newline included, to 896 bytes, so the arrays start 8-byte aligned
-        assert header.decode() == TOY_CHECKPOINT_HEADER + " " * 5
+        header, _, arrays = toy_checkpoint_bytes(tmp_path).partition(b"\n")
+        assert header.decode() == TOY_CHECKPOINT_HEADER
+        assert arrays == b"".join(t.data.tobytes() for t in m.init_params(m.toy_config(), seed=0).ordered())
+
+    def test_version_2_checkpoint_still_loads(self, tmp_path):
+        params = m.init_params(m.toy_config(), seed=0)
+        arrays = b"".join(t.data.tobytes() for t in params.ordered())
+        path = tmp_path / "v2.ckpt"
+        # NaN bytes for the velocities, which are not read
+        path.write_bytes(TOY_CHECKPOINT_HEADER_V2.encode() + b"\n" + arrays + b"\xff" * len(arrays))
+        assert len(TOY_CHECKPOINT_HEADER_V2) + 1 == 896
+        loaded = pipeline.load_checkpoint(path)
+        assert (loaded.epoch, loaded.loss_history, loaded.opt_state) == (2, [0.75, 0.5], None)
+        assert b"".join(t.data.tobytes() for t in loaded.params.ordered()) == arrays
 
 
 class TestFromDict:

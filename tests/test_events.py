@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evpose import events as events_module
@@ -211,6 +211,7 @@ def _event_outcomes(text, path, piece_size):
 
 @settings(max_examples=400, deadline=None, database=None)
 @given(text=_event_texts(), piece_size=_PIECE_SIZES)
+@example(text="\x1f\n0.0 0 0 0\n", piece_size=1)  # a piece np.loadtxt finds blank
 def test_parse_events_matches_per_line_oracle(text, piece_size, data_file):
     want = _outcome(lambda s: parse_events_lines(s, _SENSOR_W, _SENSOR_H), text)
     for got in _event_outcomes(text, data_file, piece_size):
@@ -495,6 +496,7 @@ def _assert_same_poses(got, want):
 
 @settings(max_examples=500, deadline=None, database=None)
 @given(text=_pose_texts(), piece_size=_PIECE_SIZES)
+@example(text="0.0 0 0 0 0 0 0 1\ninf 0 0 0 0 0 0 1\n", piece_size=events_module.PIECE_SIZE)  # a bad time
 def test_parse_poses_matches_per_line_oracle(text, piece_size, data_file):
     want = _outcome(parse_poses_lines, text)
     for got in _outcomes(parse_poses, read_poses, text, data_file, piece_size):

@@ -3,7 +3,6 @@ import json
 import os
 import subprocess
 import sys
-import tempfile
 import tracemalloc
 from pathlib import Path
 
@@ -40,6 +39,11 @@ def make_windows(n, rng, h=8, w=8):
         label = Poses(0.005 * (i + 1), rng.standard_normal(3) * 0.2, q)
         windows.append(EventWindow(events, label, i))
     return windows
+
+
+def velocity_bytes(ckpt):
+    """The bytes of the optimizer velocities ``train`` ended with, which no file holds."""
+    return [v.tobytes() for v in ckpt.opt_state.velocity]
 
 
 class TestTrainConfig:
@@ -149,16 +153,18 @@ class TestTrain:
     def test_minibatches_match_accumulation_reference(self, tmp_path, batch_size):
         # of the 6 windows, batch 4 leaves a short last slice and batch 7 takes all
         cfg = toy_train_config(batch_size=batch_size)
-        ckpt = pipeline.train(cfg, self.windows)
+        ckpt, reference = pipeline.train(cfg, self.windows), train_accumulating(cfg, self.windows)
         assert len(ckpt.loss_history) == cfg.epochs
         pipeline.save_checkpoint(ckpt, tmp_path / "train")
-        pipeline.save_checkpoint(train_accumulating(cfg, self.windows), tmp_path / "reference")
+        pipeline.save_checkpoint(reference, tmp_path / "reference")
         assert (tmp_path / "train").read_bytes() == (tmp_path / "reference").read_bytes()
+        assert velocity_bytes(ckpt) == velocity_bytes(reference)
 
     @pytest.mark.parametrize("batch_size", [1, 3])
     def test_factored_gradients_train_bit_identically(self, tmp_path, monkeypatch, batch_size):
         cfg = toy_train_config(batch_size=batch_size)
-        pipeline.save_checkpoint(pipeline.train(cfg, self.windows), tmp_path / "factored")
+        factored = pipeline.train(cfg, self.windows)
+        pipeline.save_checkpoint(factored, tmp_path / "factored")
         backward, returned = ad.backward, set()
 
         def dense_backward(*args, **kwargs):
@@ -167,9 +173,11 @@ class TestTrain:
             return {t: np.asarray(g) for t, g in grads.items()}
 
         monkeypatch.setattr(ad, "backward", dense_backward)
-        pipeline.save_checkpoint(pipeline.train(cfg, self.windows), tmp_path / "dense")
+        dense = pipeline.train(cfg, self.windows)
+        pipeline.save_checkpoint(dense, tmp_path / "dense")
         assert ad.Outer in returned
         assert (tmp_path / "factored").read_bytes() == (tmp_path / "dense").read_bytes()
+        assert velocity_bytes(factored) == velocity_bytes(dense)
 
     @pytest.mark.parametrize("batch_size", [1, 3])
     def test_loaded_daxpy_trains_as_scipy_linalg_blas_does(self, tmp_path, monkeypatch, batch_size):
@@ -177,11 +185,14 @@ class TestTrain:
 
         cfg = toy_train_config(batch_size=batch_size)
         monkeypatch.setattr(ad, "_daxpy", None)  # the first step loads it anew
-        pipeline.save_checkpoint(pipeline.train(cfg, self.windows), tmp_path / "loaded")
+        with_loaded = pipeline.train(cfg, self.windows)
+        pipeline.save_checkpoint(with_loaded, tmp_path / "loaded")
         assert ad._daxpy is not None
         monkeypatch.setattr(ad, "_daxpy", public)
-        pipeline.save_checkpoint(pipeline.train(cfg, self.windows), tmp_path / "public")
+        with_public = pipeline.train(cfg, self.windows)
+        pipeline.save_checkpoint(with_public, tmp_path / "public")
         assert (tmp_path / "loaded").read_bytes() == (tmp_path / "public").read_bytes()
+        assert velocity_bytes(with_loaded) == velocity_bytes(with_public)
 
     def test_end_to_end_determinism_checkpoint_bytes(self, tmp_path):
         from evpose import synth
@@ -224,15 +235,21 @@ class TestCheckpoint:
     def test_round_trip_bit_identical(self, tmp_path):
         path = tmp_path / "model.ckpt"
         pipeline.save_checkpoint(self.ckpt, path)
+        arrays, saved = [t.data for t in self.ckpt.params.ordered()], path.read_bytes()
+        # the header line, then the parameters with their bytes, and nothing else
+        assert saved.split(b"\n", 1)[1] == b"".join(a.tobytes() for a in arrays)
         loaded = pipeline.load_checkpoint(path)
+        pipeline.save_checkpoint(loaded, path)  # saved over its own file, without optimizer state
+        assert path.read_bytes() == saved
         assert loaded.epoch == self.ckpt.epoch
         assert loaded.loss_history == self.ckpt.loss_history
-        for name in self.ckpt.params.tensors:
-            assert np.array_equal(
-                loaded.params.tensors[name].data, self.ckpt.params.tensors[name].data
-            )
-        for a, b in zip(loaded.opt_state.velocity, self.ckpt.opt_state.velocity):
-            assert np.array_equal(a, b)
+        assert loaded.opt_state is None
+        assert list(loaded.params.tensors) == list(self.ckpt.params.tensors)
+        got = [t.data for t in loaded.params.ordered()]
+        for i, (a, b) in enumerate(zip(got, arrays, strict=True)):
+            assert a.tobytes() == b.tobytes()
+            assert a.flags.writeable and a.flags.aligned and a.flags.c_contiguous and a.dtype == np.float64
+            assert not any(np.shares_memory(a, c) for c in got[i + 1:])
 
     def test_round_trip_preserves_evaluate_exactly(self, tmp_path):
         path = tmp_path / "model.ckpt"
@@ -268,6 +285,13 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             pipeline.load_checkpoint(path)
 
+    @pytest.mark.parametrize("header", [b"[]", b'{"format": "other", "version": 3}'], ids=["list", "other-format"])
+    def test_json_header_of_another_format_rejected(self, tmp_path, header):
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(header + b"\n" + b"\x00" * 64)
+        with pytest.raises(CheckpointError, match="not an evpose checkpoint"):
+            pipeline.load_checkpoint(path)
+
     def rewrite_header(self, path, edit):
         pipeline.save_checkpoint(self.ckpt, path)
         head, _, rest = path.read_bytes().partition(b"\n")
@@ -277,9 +301,10 @@ class TestCheckpoint:
 
     def test_version_mismatch_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"
-        self.rewrite_header(path, lambda h: h.update(version=99))
-        with pytest.raises(CheckpointError):
-            pipeline.load_checkpoint(path)
+        for version in (4, 99):
+            self.rewrite_header(path, lambda h: h.update(version=version))
+            with pytest.raises(CheckpointError, match=f"unsupported checkpoint version {version}"):
+                pipeline.load_checkpoint(path)
 
     def test_version_1_header_rejected(self, tmp_path):
         # version 1 stored twelve per-gate tensors per LSTM layer
@@ -293,23 +318,30 @@ class TestCheckpoint:
         [
             lambda h: h.pop("model"),
             lambda h: h.pop("params"),
-            lambda h: h.pop("optimizer"),
+            lambda h: h.update(optimizer={"lr": 0.001, "momentum": 0.9, "weight_decay": 1e-06}),
             lambda h: h.pop("epoch"),
             lambda h: h.pop("loss_history"),
             lambda h: h.update(model=[]),
             lambda h: h.update(params={}),
-            lambda h: h.update(optimizer={"lr": 0.1}),
+            lambda h: h["params"][0].pop("shape"),
             lambda h: h.update(epoch="2"),
             lambda h: h.update(loss_history="0.5"),
             lambda h: h["model"].update(feature_dim=15),
         ],
-        ids=["no-model", "no-params", "no-optimizer", "no-epoch", "no-loss-history", "model-list",
-             "params-dict", "optimizer-partial", "epoch-str", "loss-history-str", "bad-model"],
+        ids=["no-model", "no-params", "version-2-optimizer", "no-epoch", "no-loss-history", "model-list",
+             "params-dict", "params-entry-no-shape", "epoch-str", "loss-history-str", "bad-model"],
     )
     def test_malformed_header_rejected(self, tmp_path, edit):
         path = tmp_path / "model.ckpt"
         self.rewrite_header(path, edit)
         with pytest.raises(CheckpointError):
+            pipeline.load_checkpoint(path)
+
+    def test_manifest_off_its_model_rejected(self, tmp_path):
+        # the same sizes, so only the manifest check can see it
+        path = tmp_path / "model.ckpt"
+        self.rewrite_header(path, lambda h: h["params"][0].update(shape=[1, 4, 3, 3]))
+        with pytest.raises(CheckpointError, match="checkpoint manifest does not match its model config"):
             pipeline.load_checkpoint(path)
 
     def test_failed_save_leaves_existing_checkpoint(self, tmp_path):
@@ -328,32 +360,19 @@ class TestCheckpoint:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
-    @pytest.mark.parametrize(
-        "edit",
-        [lambda v: v.pop(), lambda v: v.__setitem__(-1, np.zeros(7))],  # head.out.b is (1, 7)
-        ids=["missing", "misshaped"],
-    )
-    def test_save_rejects_velocities_off_the_manifest(self, tmp_path, edit):
-        path = tmp_path / "model.ckpt"
-        pipeline.save_checkpoint(self.ckpt, path)
-        before = path.read_bytes()
-        velocity = list(self.ckpt.opt_state.velocity)
-        edit(velocity)
-        opt = dataclasses.replace(self.ckpt.opt_state, velocity=velocity)
-        bad = pipeline.Checkpoint(self.ckpt.params, opt, self.ckpt.epoch, self.ckpt.loss_history)
-        with pytest.raises(CheckpointError, match="velocit"):
-            pipeline.save_checkpoint(bad, path)
-        assert path.read_bytes() == before
-        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
-
-    @pytest.mark.parametrize("cut", [8, 2000], ids=["in-velocities", "in-parameters"])
-    def test_file_that_shrinks_while_loading_rejected(self, tmp_path, monkeypatch, cut):
+    @pytest.mark.parametrize("left", [lambda total: 8, lambda total: total - 2000, lambda total: total - 8],
+                             ids=["in-first-array", "in-parameters", "in-last-array"])
+    def test_file_that_shrinks_while_loading_rejected(self, tmp_path, monkeypatch, left):
         # the size is checked first; a file cut after that check ends inside its arrays
         path = tmp_path / "model.ckpt"
         pipeline.save_checkpoint(self.ckpt, path)
+        sizes = [t.data.nbytes for t in self.ckpt.params.ordered()]
+        left = left(sum(sizes))  # bytes of parameters the cut file still holds
+        assert 0 <= left < sum(sizes)  # the file ends with the parameters, so every cut lands inside them
+        assert sizes[0] > 8  # the first cut lands inside the first array
         size = path.stat().st_size
         with open(path, "r+b") as f:
-            f.truncate(size - cut)
+            f.truncate(size - sum(sizes) + left)
         fstat = os.fstat
         monkeypatch.setattr(os, "fstat", lambda fd: os.stat_result((*fstat(fd)[:6], size, *fstat(fd)[7:])))
         with pytest.raises(CheckpointError, match="ended inside its arrays"):
@@ -367,13 +386,51 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             pipeline.load_checkpoint(path)
 
+    def version_2_file(self, path, padded):
+        """Write a checkpoint of ``self.ckpt``'s model as version 2 saved it
+        and return it: a header that also holds the optimizer hyperparameters,
+        padded with spaces before its newline to a multiple of 8 bytes (files
+        saved before padding are not), then the parameters, then the
+        velocities."""
+        # one more loss keeps the header line off a multiple of 8 bytes, so padding changes the file
+        ckpt = dataclasses.replace(self.ckpt, epoch=3, loss_history=[*self.ckpt.loss_history, 0.25])
+        pipeline.save_checkpoint(ckpt, path)
+        head, _, arrays = path.read_bytes().partition(b"\n")
+        header, opt = json.loads(head), ckpt.opt_state
+        header = {"format": header["format"], "version": 2, "model": header["model"], "params": header["params"],
+                  "optimizer": {"lr": opt.lr, "momentum": opt.momentum, "weight_decay": opt.weight_decay},
+                  "epoch": header["epoch"], "loss_history": header["loss_history"]}
+        line = json.dumps(header).encode()
+        assert (len(line) + 1) % 8 != 0
+        pad = b" " * (-(len(line) + 1) % 8) if padded else b""
+        path.write_bytes(line + pad + b"\n" + arrays + b"".join(v.tobytes() for v in opt.velocity))
+        return ckpt
+
+    @pytest.mark.parametrize("padded", [True, False], ids=["padded", "unpadded"])
+    def test_version_2_file_loads_its_parameters(self, tmp_path, padded):
+        path = tmp_path / "v2.ckpt"
+        saved = self.version_2_file(path, padded)
+        loaded = pipeline.load_checkpoint(path)
+        assert loaded.opt_state is None
+        assert (loaded.epoch, loaded.loss_history) == (saved.epoch, saved.loss_history)
+        for a, b in zip(loaded.params.ordered(), self.ckpt.params.ordered(), strict=True):
+            assert a.data.tobytes() == b.data.tobytes()
+        before = evaluation.evaluate(self.ckpt.params, self.windows)
+        assert evaluation.evaluate(loaded.params, self.windows).per_sample_errors == before.per_sample_errors
+
+    def test_version_2_file_missing_velocity_bytes_rejected(self, tmp_path):
+        path = tmp_path / "v2.ckpt"
+        self.version_2_file(path, padded=True)
+        with open(path, "r+b") as f:
+            f.truncate(path.stat().st_size - 8)
+        with pytest.raises(CheckpointError, match="declares 34800 bytes of arrays, the file holds 34792"):
+            pipeline.load_checkpoint(path)
+
 
 def test_checkpoint_io_holds_each_array_once(tmp_path):
     """A desk-scale save holds no array-sized buffer, and a load keeps the
-    parameters alone: its velocities are views of a map of the file. Both
-    stay within an eighth of ``feat.w`` (8.4 MB) of that. A load through a
-    read buffer peaks about one ``feat.w`` above what it keeps; one that
-    read the velocities too kept twice the parameters."""
+    parameters alone, each within an eighth of ``feat.w`` (8.4 MB). A load
+    through a read buffer peaks about one ``feat.w`` above what it keeps."""
     rng = np.random.default_rng(17)
     params = m.init_params(m.desk_config(), seed=17)
     tensors = params.ordered()
@@ -397,119 +454,22 @@ def test_checkpoint_io_holds_each_array_once(tmp_path):
     assert save_peak < limit
     assert peak - kept < limit
     assert kept - start <= sum(t.data.nbytes for t in tensors) + limit
+    with open(path, "rb") as f:
+        assert path.stat().st_size == len(f.readline()) + 8 * params.config.param_count()
 
-    arrays = [t.data for t in loaded.params.ordered()] + loaded.opt_state.velocity
+    arrays = [t.data for t in loaded.params.ordered()]
     for i, a in enumerate(arrays):
         assert a.flags.writeable and a.flags.c_contiguous
         assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
 
-    # one step on the reloaded checkpoint matches one on the in-memory one, byte for byte
+    # resumed by hand with the in-memory velocities, one step on the reloaded
+    # parameters matches one on the in-memory checkpoint, byte for byte
+    resumed = ad.OptState(opt.lr, opt.momentum, opt.weight_decay, [v.copy() for v in opt.velocity])
     grads = [rng.standard_normal(t.shape) for t in tensors]
-    for c in (ckpt, loaded):
-        ts = c.params.ordered()
-        ad.sgd_step(ts, dict(zip(ts, grads)), c.opt_state)
-    for a, b in zip([t.data for t in tensors] + opt.velocity, arrays):
+    for ts, state in ((tensors, opt), (loaded.params.ordered(), resumed)):
+        ad.sgd_step(ts, dict(zip(ts, grads)), state)
+    for a, b in zip([t.data for t in tensors] + opt.velocity, arrays + resumed.velocity, strict=True):
         assert a.tobytes() == b.tobytes()
-
-
-def _step_both(ckpts, grads):
-    """One sgd_step on each checkpoint with the same gradients."""
-    for c in ckpts:
-        ts = c.params.ordered()
-        ad.sgd_step(ts, dict(zip(ts, grads)), c.opt_state)
-
-
-def _assert_same_state(a, b):
-    arrays = ([t.data for t in c.params.ordered()] + list(c.opt_state.velocity) for c in (a, b))
-    assert all(x.tobytes() == y.tobytes() for x, y in zip(*arrays))
-
-
-def _stepped_toy_checkpoint(loss_history):
-    rng = np.random.default_rng(23)
-    params = m.init_params(m.toy_config(), seed=23)
-    tensors = params.ordered()
-    opt = ad.make_opt_state(tensors, 1e-3, 0.9, 1e-4)
-    ad.sgd_step(tensors, {t: rng.standard_normal(t.shape) for t in tensors}, opt)  # non-zero velocities
-    return pipeline.Checkpoint(params, opt, 1, loss_history)
-
-
-def _histories_of_every_header_residue():
-    """Loss histories whose unpadded header lines, newline included, have
-    each length mod 8 once."""
-    found = {}
-    for n in range(64):
-        ckpt = _stepped_toy_checkpoint([0.5 / (k + 1) for k in range(n)])
-        found.setdefault(len(_unpadded_header(ckpt)) % 8, ckpt.loss_history)
-    assert sorted(found) == list(range(8))
-    return [found[r] for r in range(8)]
-
-
-def _unpadded_header(ckpt):
-    """The header line of ``ckpt`` as a file saved before headers were padded holds it."""
-    with tempfile.TemporaryDirectory() as d:
-        path = os.path.join(d, "c")
-        pipeline.save_checkpoint(ckpt, path)
-        with open(path, "rb") as f:
-            return f.readline().rstrip(b" \n") + b"\n"
-
-
-@pytest.mark.parametrize("residue", range(8))
-def test_saved_arrays_start_aligned_and_velocities_map_the_file(tmp_path, residue):
-    ckpt = _stepped_toy_checkpoint(_histories_of_every_header_residue()[residue])
-    path = tmp_path / "toy.ckpt"
-    pipeline.save_checkpoint(ckpt, path)
-    saved = path.read_bytes()
-    head, rest = saved.split(b"\n", 1)
-    unpadded = _unpadded_header(ckpt)
-    assert len(unpadded) % 8 == residue
-    assert (len(head) + 1) % 8 == 0 and head == unpadded[:-1] + b" " * (len(head) + 1 - len(unpadded))
-    arrays = [t.data for t in ckpt.params.ordered()] + ckpt.opt_state.velocity
-    assert rest == b"".join(a.tobytes() for a in arrays)  # the arrays keep their bytes
-
-    loaded = pipeline.load_checkpoint(path)
-    got = [t.data for t in loaded.params.ordered()] + loaded.opt_state.velocity
-    for i, a in enumerate(got):
-        assert a.flags.writeable and a.flags.aligned and a.flags.c_contiguous and a.dtype == np.float64
-        assert not any(np.shares_memory(a, b) for b in got[i + 1:])
-    assert all(isinstance(v, np.memmap) for v in loaded.opt_state.velocity)
-    _assert_same_state(loaded, ckpt)
-    rng = np.random.default_rng(residue)
-    _step_both((ckpt, loaded), [rng.standard_normal(t.shape) for t in ckpt.params.ordered()])
-    _assert_same_state(loaded, ckpt)
-    assert path.read_bytes() == saved  # the step wrote to memory, not to the file
-
-
-def test_unpadded_file_loads_and_resumes_byte_identically(tmp_path):
-    """A file saved before headers were padded has unaligned velocities
-    unless its header happens to end on a multiple of 8: they are copied."""
-    ckpt = _stepped_toy_checkpoint(_histories_of_every_header_residue()[3])
-    path = tmp_path / "toy.ckpt"
-    pipeline.save_checkpoint(ckpt, path)
-    rest = path.read_bytes().split(b"\n", 1)[1]
-    path.write_bytes(_unpadded_header(ckpt) + rest)
-    loaded = pipeline.load_checkpoint(path)
-    for v in loaded.opt_state.velocity:
-        assert v.flags.aligned and v.flags.writeable and v.flags.owndata
-    _assert_same_state(loaded, ckpt)
-    rng = np.random.default_rng(4)
-    _step_both((ckpt, loaded), [rng.standard_normal(t.shape) for t in ckpt.params.ordered()])
-    _assert_same_state(loaded, ckpt)
-
-
-def test_saving_over_a_loaded_checkpoint_keeps_its_velocities(tmp_path):
-    path = tmp_path / "toy.ckpt"
-    first = _stepped_toy_checkpoint([0.5])
-    pipeline.save_checkpoint(first, path)
-    loaded = pipeline.load_checkpoint(path)
-    second = _stepped_toy_checkpoint([0.25, 0.125])
-    for v in second.opt_state.velocity:
-        v *= -3.0
-    pipeline.save_checkpoint(second, path)  # renamed over the mapped file
-    _assert_same_state(loaded, first)
-    _assert_same_state(pipeline.load_checkpoint(path), second)
-    pipeline.save_checkpoint(loaded, path)  # a checkpoint saved over its own file
-    _assert_same_state(pipeline.load_checkpoint(path), first)
-    _assert_same_state(loaded, first)
 
 
 _IMPORT_FOOTPRINT = """
